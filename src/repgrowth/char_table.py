@@ -3,8 +3,9 @@
 Values are ``Fraction`` when rational and ``complex`` otherwise, so rational
 tables (all symmetric groups here) stay exact end to end and cyclotomic
 tables fall back to floats with explicit tolerances.  Multiplicities come
-from the standard inner product (1/|G|) sum_c |c| f(c) conj(chi(c)) and are
-accepted only when within INTEGRALITY_TOL of a non-negative integer.
+from the standard inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); a
+rational one is accepted only when it is exactly a non-negative integer, a
+complex one when it is within INTEGRALITY_TOL of one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
 
 Scalar = Union[Fraction, complex]
@@ -56,9 +58,10 @@ def tensor_power_char(f: ClassFunction, d: int) -> ClassFunction:
 
 
 def _near_int(value: Scalar) -> int | None:
-    c = complex(value)
-    nearest = round(c.real)
-    if abs(c.imag) > INTEGRALITY_TOL or abs(c.real - nearest) > INTEGRALITY_TOL:
+    if isinstance(value, Rational):
+        return int(value) if value.denominator == 1 else None
+    nearest = round(value.real)
+    if abs(value.imag) > INTEGRALITY_TOL or abs(value.real - nearest) > INTEGRALITY_TOL:
         return None
     return nearest
 
@@ -145,7 +148,8 @@ def decompose(table: CharacterTable, f: ClassFunction) -> tuple[int, ...]:
     """Multiplicities of each irreducible in f, in table row order.
 
     Raises InvalidCharacterError when any inner product is not a non-negative
-    integer within INTEGRALITY_TOL: such an f is not a character of this group.
+    integer (exactly for rational values, within INTEGRALITY_TOL for complex
+    ones): such an f is not a character of this group.
     """
     mults = []
     for name, chi in zip(table.irrep_names, table.irreps):
@@ -223,8 +227,9 @@ def min_power_containing_regular(
 
     "1 + f" is the character of Triv + V; containment means every irreducible
     multiplicity reaches its degree.  Once that holds for N it holds for all
-    larger N (the check spot-verifies N+1 and N+2).  Searches N = 1..max_n
-    (default |G|) and raises LookupError if the cap is exceeded.
+    larger N (the check spot-verifies N+1 and N+2 and raises ArithmeticError
+    if either fails).  Searches N = 1..max_n (default |G|) and raises
+    LookupError if the cap is exceeded.
     """
     if not is_faithful(table, f):
         raise ValueError("character is not faithful")
@@ -237,7 +242,8 @@ def min_power_containing_regular(
 
     for n in range(1, cap + 1):
         if contains_regular(n):
-            assert contains_regular(n + 1) and contains_regular(n + 2)
+            if not (contains_regular(n + 1) and contains_regular(n + 2)):
+                raise ArithmeticError(f"regular containment at N={n} fails at N+1 or N+2")
             return n
     raise LookupError(f"no power up to {cap} contains the regular character")
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 computation-level failure (an oracle disagreement or
 a failed identity check), 2 usage or input errors.  Output is deterministic:
-floats are printed with 12 significant digits, rationals exactly.
+floats are printed with 12 significant digits, rationals exactly.  Input that
+the library rejects raises ValueError there and exits 2 here; the handlers
+check only the rules that exist on the command line alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .char_table import (
     decompose,
@@ -32,8 +35,8 @@ from .markov import (
 from .modular_fusion import (
     FusionVector,
     fuse_basis,
-    is_prime,
     jordan_oracle,
+    require_prime,
     tensor_power,
     ts_series_modular,
 )
@@ -44,7 +47,6 @@ from .torus import (
     bernstein_zero_bound,
     diagonal_zero_count,
     zero_weight_count,
-    zero_weight_probability,
 )
 
 
@@ -66,38 +68,42 @@ def _fmt_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def _ladder_str(v: FusionVector) -> str:
-    terms = [f"V{i}" if c == 1 else f"{c}*V{i}" for i, c in enumerate(v.coeffs) if c]
-    return " + ".join(terms) if terms else "0"
+def _ladder_str(terms) -> str:
+    """Join (index, multiplicity) pairs as 'V0 + 2*V3', skipping zeros."""
+    parts = [f"V{i}" if c == 1 else f"{c}*V{i}" for i, c in terms if c]
+    return " + ".join(parts) if parts else "0"
 
 
 def _fusion_display(p: int, m: int, n: int, closed: FusionVector) -> str:
     """Render V_m (x) V_n the way the closed-form rule derives it.
 
-    Below the threshold the ladder prints in ascending index order; above it
-    the split-off projective multiple leads and the remainder ladder follows.
+    Below the threshold the ladder prints in ascending index order.  Above it
+    the split-off projective multiple closed.coeffs[p-1] leads, because the
+    remainder ladder never reaches V_{p-1}, and the remainder follows.
     """
-    if m + n <= p - 1:
-        return _ladder_str(closed)
-    d = m + n - (p - 2)
-    head = f"V{p - 1}" if d == 1 else f"{d}*V{p - 1}"
-    rest = list(closed.coeffs)
-    rest[p - 1] -= d
-    if any(rest):
-        return f"{head} + {_ladder_str(FusionVector(p, tuple(rest)))}"
-    return head
+    terms = list(enumerate(closed.coeffs))
+    if m + n > p - 1:
+        terms.insert(0, terms.pop())
+    return _ladder_str(terms)
 
 
 def _matrix_str(rows) -> str:
     return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in rows) + "]"
 
 
-def _matrix_json(rows) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]
+def _matrix_lines(matrices, result: dict) -> list[str]:
+    """Text lines for (label, key, matrix) triples; each matrix also goes to result[key].
+
+    In JSON, integer entries stay numbers and exact rationals become strings.
+    """
+    for _, key, matrix in matrices:
+        result[key] = [[x if isinstance(x, int) else str(x) for x in row] for row in matrix.rows]
+    return [f"{label} = {_matrix_str(matrix.rows)}" for label, _, matrix in matrices]
 
 
 def _parse_seed(p: int, text: str) -> FusionVector:
     """Parse seeds like 'V1', '2*V2', 'V0+3*V1'."""
+    require_prime(p)
     coeffs = [0] * p
     for term in text.split("+"):
         term = term.strip()
@@ -106,9 +112,7 @@ def _parse_seed(p: int, text: str) -> FusionVector:
             count_text, index_text = head.strip(), tail.strip()
         else:
             count_text, index_text = "1", term
-        if not (index_text.startswith("V") and index_text[1:].isdigit()):
-            raise UsageError(f"malformed seed term {term!r}")
-        if not count_text.isdigit():
+        if not (index_text.startswith("V") and index_text[1:].isdigit() and count_text.isdigit()):
             raise UsageError(f"malformed seed term {term!r}")
         index = int(index_text[1:])
         if index >= p:
@@ -119,19 +123,10 @@ def _parse_seed(p: int, text: str) -> FusionVector:
     return FusionVector(p, tuple(coeffs))
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise UsageError(f"p must be prime, got {p}")
-
-
 # --- command handlers ------------------------------------------------------
 
 
 def _cmd_pieri(args) -> CommandResult:
-    if args.m < 1:
-        raise UsageError(f"m must be at least 1, got {args.m}")
-    if args.n < 0:
-        raise UsageError(f"n must be non-negative, got {args.n}")
     d = tensor_power_decomposition(args.m, args.n)
     if args.canonical:
         merged: dict = {}
@@ -152,19 +147,11 @@ def _cmd_pieri(args) -> CommandResult:
 
 
 def _cmd_ts(args) -> CommandResult:
-    if args.max < 1:
-        raise UsageError(f"--max must be at least 1, got {args.max}")
     if args.mode == "sl":
-        if args.m < 1:
-            raise UsageError(f"m must be at least 1, got {args.m}")
         series = ts_series_sl(args.m, args.max)
         params = {"mode": "sl", "m": args.m, "max": args.max}
     else:
-        _require_prime(args.p)
-        if args.step < 1:
-            raise UsageError(f"--step must be at least 1, got {args.step}")
-        seed = _parse_seed(args.p, args.seed)
-        series = ts_series_modular(seed, args.step, args.max)
+        series = ts_series_modular(_parse_seed(args.p, args.seed), args.step, args.max)
         params = {
             "mode": "modular",
             "p": args.p,
@@ -174,10 +161,11 @@ def _cmd_ts(args) -> CommandResult:
         }
     roots = nth_root_sequence(series)
     est = estimate(series)
-    lines = [
-        f"k={k} n={series.step * k} ts={a} root={_fmt_float(r)}"
+    rows = [
+        [k, series.step * k, a, _fmt_float(r)]
         for k, (a, r) in enumerate(zip(series.values, roots), start=1)
     ]
+    lines = [f"k={k} n={n} ts={a} root={r}" for k, n, a, r in rows]
     fekete = "true" if est.fekete_ok else "false"
     lines.append(
         f"lower={_fmt_float(est.lower)} upper={_fmt_float(est.upper)} fekete_ok={fekete}"
@@ -197,18 +185,11 @@ def _cmd_ts(args) -> CommandResult:
             },
         },
         lines=lines,
-        csv_rows=[["k", "n", "ts", "nth_root"]]
-        + [
-            [k, series.step * k, a, _fmt_float(r)]
-            for k, (a, r) in enumerate(zip(series.values, roots), start=1)
-        ],
+        csv_rows=[["k", "n", "ts", "nth_root"]] + rows,
     )
 
 
 def _cmd_fusion(args) -> CommandResult:
-    _require_prime(args.p)
-    if not (0 <= args.m < args.p and 0 <= args.n < args.p):
-        raise UsageError(f"indices ({args.m}, {args.n}) outside 0..{args.p - 1}")
     closed = fuse_basis(args.p, args.m, args.n)
     display = _fusion_display(args.p, args.m, args.n, closed)
     lines = [display]
@@ -225,7 +206,7 @@ def _cmd_fusion(args) -> CommandResult:
         if agree:
             lines = [f"{display} | AGREE"]
         else:
-            lines = [f"{display} != {_ladder_str(oracle)} | DISAGREE"]
+            lines = [f"{display} != {_ladder_str(enumerate(oracle.coeffs))} | DISAGREE"]
             exit_code = 1
     return CommandResult(
         command="fusion",
@@ -237,7 +218,6 @@ def _cmd_fusion(args) -> CommandResult:
 
 
 def _cmd_markov(args) -> CommandResult:
-    _require_prime(args.p)
     if args.example:
         if args.seed is not None:
             raise UsageError("--example does not take --seed")
@@ -247,14 +227,19 @@ def _cmd_markov(args) -> CommandResult:
         s2 = s.compose(s)
         p_s, p_s2 = p_of_map(s), p_of_map(s2)
         p_s_sq = p_s @ p_s
+        result: dict = {}
+        lines = _matrix_lines(
+            [
+                ("[S]", "s", s),
+                ("[S^2]", "s_squared", s2),
+                ("P(S)", "p_of_s", p_s),
+                ("P(S^2)", "p_of_s_squared", p_s2),
+                ("P(S)^2", "p_of_s_power_2", p_s_sq),
+            ],
+            result,
+        )
         multiplicative = p_s_sq == p_s2
-        lines = [
-            f"[S] = {_matrix_str(s.rows)}",
-            f"[S^2] = {_matrix_str(s2.rows)}",
-            f"P(S) = {_matrix_str(p_s.rows)}",
-            f"P(S^2) = {_matrix_str(p_s2.rows)}",
-            f"P(S)^2 = {_matrix_str(p_s_sq.rows)}",
-        ]
+        result["multiplicative"] = multiplicative
         if multiplicative:
             lines.append("unexpected: P(S^2) == P(S)^2")
         else:
@@ -262,14 +247,7 @@ def _cmd_markov(args) -> CommandResult:
         return CommandResult(
             command="markov",
             params={"p": 2, "example": True},
-            result={
-                "s": [list(r) for r in s.rows],
-                "s_squared": [list(r) for r in s2.rows],
-                "p_of_s": _matrix_json(p_s.rows),
-                "p_of_s_squared": _matrix_json(p_s2.rows),
-                "p_of_s_power_2": _matrix_json(p_s_sq.rows),
-                "multiplicative": multiplicative,
-            },
+            result=result,
             lines=lines,
             exit_code=1 if multiplicative else 0,
         )
@@ -281,21 +259,18 @@ def _cmd_markov(args) -> CommandResult:
     one_step = p_of_tensor_by(seed)
     powered = one_step**args.power
     direct = p_of_tensor_by(tensor_power(seed, args.power))
+    result = {"seed": list(seed.coeffs), "power": args.power}
+    lines = _matrix_lines(
+        [
+            ("P(T)", "p_of_t", one_step),
+            (f"P(T)^{args.power}", "p_of_t_power", powered),
+            (f"P(T^{args.power})", "p_of_t_direct", direct),
+        ],
+        result,
+    )
     multiplicative = powered == direct
-    lines = [
-        f"P(T) = {_matrix_str(one_step.rows)}",
-        f"P(T)^{args.power} = {_matrix_str(powered.rows)}",
-        f"P(T^{args.power}) = {_matrix_str(direct.rows)}",
-        f"multiplicative: {'ok' if multiplicative else 'FAIL'}",
-    ]
-    result = {
-        "seed": list(seed.coeffs),
-        "power": args.power,
-        "p_of_t": _matrix_json(one_step.rows),
-        "p_of_t_power": _matrix_json(powered.rows),
-        "p_of_t_direct": _matrix_json(direct.rows),
-        "multiplicative": multiplicative,
-    }
+    result["multiplicative"] = multiplicative
+    lines.append(f"multiplicative: {'ok' if multiplicative else 'FAIL'}")
     try:
         rate = decay_rate(seed)
         lines.append(f"decay_rate = {rate}")
@@ -313,8 +288,6 @@ def _cmd_markov(args) -> CommandResult:
 
 
 def _cmd_torus(args) -> CommandResult:
-    if args.n < 0:
-        raise UsageError(f"n must be non-negative, got {args.n}")
     if args.diagonal:
         if args.weights is not None:
             raise UsageError("--diagonal does not take --weights")
@@ -334,7 +307,7 @@ def _cmd_torus(args) -> CommandResult:
     except ValueError:
         raise UsageError(f"malformed weights {args.weights!r}") from None
     count = zero_weight_count(weights, args.n)
-    probability = zero_weight_probability(weights, args.n)
+    probability = Fraction(count, len(weights) ** args.n)
     lines = [f"count = {count}", f"probability = {probability}"]
     result = {
         "count": count,
@@ -369,8 +342,6 @@ def _cmd_chartab(args) -> CommandResult:
     chi = table.irreps[index]
     params = {"table": args.table, "action": args.action, "irrep": args.irrep}
     if args.action == "decompose":
-        if args.power < 0:
-            raise UsageError(f"--power must be non-negative, got {args.power}")
         mults = decompose(table, tensor_power_char(chi, args.power))
         params["power"] = args.power
         return CommandResult(
@@ -409,7 +380,7 @@ def _cmd_chartab(args) -> CommandResult:
     params["max"] = args.max
     try:
         n = min_power_containing_regular(table, chi, args.max)
-    except LookupError as exc:
+    except (LookupError, ArithmeticError) as exc:
         return CommandResult(
             command="chartab",
             params=params,

@@ -13,11 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modular_fusion import FusionVector, basis_vector, fuse, is_prime, tensor_power
+from .modular_fusion import FusionVector, basis_vector, fuse, require_prime, tensor_power
 
 
 class HypothesisViolationError(ValueError):
     """Raised when a decay-rate hypothesis fails (a column misses V_{p-1})."""
+
+
+def _matmul(a, b) -> tuple[tuple, ...]:
+    """Rows of the exact product [a][b] of two p x p row-major matrices."""
+    if a.p != b.p:
+        raise ValueError(f"mismatched primes {a.p} and {b.p}")
+    columns = tuple(zip(*b.rows))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, column)) for column in columns) for row in a.rows
+    )
 
 
 @dataclass(frozen=True)
@@ -28,8 +38,7 @@ class RatioVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         entries = tuple(Fraction(e) for e in self.entries)
         if len(entries) != self.p:
             raise ValueError(f"expected {self.p} entries, got {len(entries)}")
@@ -48,8 +57,7 @@ class TransitionMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
         if len(rows) != self.p or any(len(row) != self.p for row in rows):
             raise ValueError(f"expected a {self.p}x{self.p} matrix")
@@ -65,18 +73,7 @@ class TransitionMatrix:
         return tuple(self.rows[i][j] for i in range(self.p))
 
     def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        if self.p != other.p:
-            raise ValueError(f"mismatched primes {self.p} and {other.p}")
-        return TransitionMatrix(
-            self.p,
-            tuple(
-                tuple(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.p))
-                    for j in range(self.p)
-                )
-                for i in range(self.p)
-            ),
-        )
+        return TransitionMatrix(self.p, _matmul(self, other))
 
     def __pow__(self, exponent: int) -> "TransitionMatrix":
         if exponent < 0:
@@ -113,8 +110,7 @@ class IntegerRingMap:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
         if len(rows) != self.p or any(len(row) != self.p for row in rows):
             raise ValueError(f"expected a {self.p}x{self.p} matrix")
@@ -128,18 +124,7 @@ class IntegerRingMap:
 
     def compose(self, other: "IntegerRingMap") -> "IntegerRingMap":
         """Matrix of self o other, i.e. the product [self][other]."""
-        if self.p != other.p:
-            raise ValueError(f"mismatched primes {self.p} and {other.p}")
-        return IntegerRingMap(
-            self.p,
-            tuple(
-                tuple(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.p))
-                    for j in range(self.p)
-                )
-                for i in range(self.p)
-            ),
-        )
+        return IntegerRingMap(self.p, _matmul(self, other))
 
 
 def identity_matrix(p: int) -> TransitionMatrix:
@@ -180,10 +165,8 @@ def p_of_tensor_by(w: FusionVector) -> TransitionMatrix:
     """
     if w.dimension == 0:
         raise ValueError("cannot tensor by the zero element")
-    columns = [q_of(fuse(w, basis_vector(w.p, j))).entries for j in range(w.p)]
-    return TransitionMatrix(
-        w.p, tuple(tuple(columns[j][i] for j in range(w.p)) for i in range(w.p))
-    )
+    images = [fuse(w, basis_vector(w.p, j)).coeffs for j in range(w.p)]
+    return p_of_map(IntegerRingMap(w.p, tuple(zip(*images))))
 
 
 def decay_rate(w: FusionVector) -> Fraction:

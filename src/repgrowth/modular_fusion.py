@@ -21,6 +21,11 @@ def is_prime(p: int) -> bool:
     return all(p % q for q in range(2, int(p**0.5) + 1))
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 @dataclass(frozen=True)
 class FusionVector:
     """A non-negative integer combination of the indecomposables V_0..V_{p-1}."""
@@ -29,8 +34,7 @@ class FusionVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         coeffs = tuple(int(c) for c in self.coeffs)
         if len(coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(coeffs)}")
@@ -65,8 +69,7 @@ def fuse_basis(p: int, m: int, n: int) -> FusionVector:
     V_{m-d} (x) V_{n-d} (zero when an index goes negative); that remainder is
     back in the first case, so the recursion terminates after one step.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
     coeffs = [0] * p
@@ -188,8 +191,7 @@ def jordan_oracle(p: int, m: int, n: int) -> FusionVector:
     exactly r_{s-1} - 2*r_s + r_{s+1} blocks of size s.  A size-s block of g
     is a copy of V_{s-1}.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
     g = _kronecker(_unipotent_block(m + 1), _unipotent_block(n + 1))

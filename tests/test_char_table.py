@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repgrowth import char_table
 from repgrowth.char_table import (
     CharacterTable,
     ClassFunction,
@@ -161,6 +162,31 @@ def test_min_power_containing_regular():
         min_power_containing_regular(s3, s3.irreps[0])
     with pytest.raises(LookupError):
         min_power_containing_regular(z3, z3.irreps[1], max_n=1)
+
+
+@pytest.mark.parametrize("power", [40, 60])
+def test_decompose_large_rational_powers_are_exact(power):
+    s4 = builtin_table("s4")
+    f = tensor_power_char(s4.irreps[s4.irrep_index("std")], power)
+    exact = [inner_product(s4, f, chi) for chi in s4.irreps]
+    assert all(value.denominator == 1 for value in exact)
+    assert decompose(s4, f) == tuple(int(value) for value in exact)
+    # Closed form for the trivial multiplicity: (3^d + 6 + 9(-1)^d) / 24.
+    assert decompose(s4, f)[0] == (3**power + 15) // 24
+
+
+def test_min_power_containing_regular_checks_monotonicity(monkeypatch):
+    s3 = builtin_table("s3")
+    calls = []
+
+    def fake_decompose(table, f):
+        # Containment holds at N = 1 and fails at N = 2.
+        calls.append(f)
+        return table.degrees if len(calls) == 1 else (0,) * len(table.degrees)
+
+    monkeypatch.setattr(char_table, "decompose", fake_decompose)
+    with pytest.raises(ArithmeticError, match="N=1"):
+        min_power_containing_regular(s3, s3.irreps[s3.irrep_index("std")])
 
 
 def test_load_table_round_trips_s3():

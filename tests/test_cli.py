@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repgrowth.cli as cli
+from repgrowth import char_table
 from repgrowth.modular_fusion import basis_vector
 
 S3_TEXT = """\
@@ -202,6 +203,22 @@ def test_chartab_json(capsys, s3_file):
     assert payload["result"]["mults"] == {"triv": 1, "sign": 1, "std": 1}
 
 
+def test_min_regular_failures_exit_1(capsys, monkeypatch, s3_file):
+    argv = ["chartab", s3_file, "min-regular", "--irrep", "std"]
+    code, out, _ = run(argv + ["--max", "1"], capsys)
+    assert (code, out) == (1, "no power up to 1 contains the regular character\n")
+    # Containment at N = 1 that fails at N = 2 is a failed check, not a crash.
+    calls = []
+
+    def fake_decompose(table, f):
+        calls.append(f)
+        return table.degrees if len(calls) == 1 else (0,) * len(table.degrees)
+
+    monkeypatch.setattr(char_table, "decompose", fake_decompose)
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (1, "regular containment at N=1 fails at N+1 or N+2\n")
+
+
 def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
     cases = [
         ["fusion", "--p", "4", "1", "1"],
@@ -217,6 +234,11 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         ["chartab", s3_file, "decompose", "--irrep", "nope"],
         ["chartab", str(tmp_path / "missing.tbl"), "decompose", "--irrep", "std"],
         ["nosuchcommand"],
+        ["ts", "sl", "--m", "2", "--max", "0"],
+        ["ts", "modular", "--p", "3", "--seed", "V1", "--step", "0", "--max", "2"],
+        ["ts", "modular", "--p", "0", "--seed", "V1", "--max", "2"],
+        ["pieri", "--m", "2", "--n", "-1"],
+        ["markov", "--p", "3", "--seed", "V1", "--power", "0"],
     ]
     for argv in cases:
         code = cli.main(argv)
@@ -265,3 +287,172 @@ def test_documented_commands_are_deterministic(capsys, s3_file):
         second_code, second_out, _ = run(argv, capsys)
         assert first_code == second_code == 0, argv
         assert first_out == second_out, argv
+
+
+# Frozen stdout of the documented commands; every one exits 0.  TABLE stands
+# for the s3 table file.
+GOLDEN = [
+    (["pieri", "--m", "2", "--n", "4"], "(4): 1\n(3,1): 3\n(2,2): 2\n"),
+    (["pieri", "--m", "2", "--n", "0"], "(): 1\n"),
+    (["pieri", "--m", "2", "--n", "4", "--canonical"], "(4): 1\n(2): 3\n(): 2\n"),
+    (
+        ["pieri", "--m", "3", "--n", "6", "--csv"],
+        'partition,multiplicity\n(6),1\n"(5,1)",5\n"(4,2)",9\n"(4,1,1)",10\n'
+        '"(3,3)",5\n"(3,2,1)",16\n"(2,2,2)",5\n',
+    ),
+    (
+        ["pieri", "--m", "2", "--n", "4", "--json"],
+        '{"command": "pieri", "params": {"m": 2, "n": 4, "canonical": false}, '
+        '"result": {"mults": {"(4)": 1, "(3,1)": 3, "(2,2)": 2}}}\n',
+    ),
+    (
+        ["ts", "sl", "--m", "2", "--max", "12"],
+        "k=1 n=2 ts=1 root=1\n"
+        "k=2 n=4 ts=2 root=1.189207115\n"
+        "k=3 n=6 ts=5 root=1.30766048601\n"
+        "k=4 n=8 ts=14 root=1.39080423506\n"
+        "k=5 n=10 ts=42 root=1.45319846028\n"
+        "k=6 n=12 ts=132 root=1.50215412343\n"
+        "k=7 n=14 ts=429 root=1.54181641016\n"
+        "k=8 n=16 ts=1430 root=1.57473870622\n"
+        "k=9 n=18 ts=4862 root=1.60259230472\n"
+        "k=10 n=20 ts=16796 root=1.6265233163\n"
+        "k=11 n=22 ts=58786 root=1.64734733532\n"
+        "k=12 n=24 ts=208012 root=1.66566253031\n"
+        "lower=1.66566253031 upper=2 fekete_ok=true\n",
+    ),
+    (
+        ["ts", "sl", "--m", "3", "--max", "6", "--csv"],
+        "k,n,ts,nth_root\n1,3,1,1\n2,6,5,1.30766048601\n3,9,42,1.51482000641\n"
+        "4,12,462,1.66745260274\n5,15,6006,1.78609966298\n6,18,87516,1.88174345612\n",
+    ),
+    (
+        ["ts", "sl", "--m", "2", "--max", "6", "--json"],
+        '{"command": "ts", "params": {"mode": "sl", "m": 2, "max": 6}, "result": '
+        '{"step": 2, "dim_v": 2, "values": [1, 2, 5, 14, 42, 132], "nth_roots": '
+        "[1.0, 1.189207115002721, 1.3076604860118306, 1.390804235062458, "
+        '1.4531984602822678, 1.5021541234310556], "estimate": {"lower": '
+        '1.5021541234310556, "upper": 2.0, "fekete_ok": true}}}\n',
+    ),
+    (
+        ["ts", "modular", "--p", "3", "--seed", "V1", "--step", "2", "--max", "6"],
+        "".join(f"k={k} n={2 * k} ts=1 root=1\n" for k in range(1, 7))
+        + "lower=1 upper=2 fekete_ok=true\n",
+    ),
+    (
+        ["ts", "modular", "--p", "2", "--seed", "V1", "--step", "1", "--max", "3"],
+        "k=1 n=1 ts=0 root=0\nk=2 n=2 ts=0 root=0\nk=3 n=3 ts=0 root=0\n"
+        "lower=0 upper=2 fekete_ok=true\n",
+    ),
+    (
+        ["ts", "modular", "--p", "3", "--seed", "V0+2*V1", "--step", "2", "--max", "3", "--csv"],
+        "k,n,ts,nth_root\n1,2,5,2.2360679775\n2,4,41,2.53043953444\n"
+        "3,6,365,2.67330684711\n",
+    ),
+    (["fusion", "--p", "3", "1", "1"], "V0 + V2\n"),
+    (["fusion", "--p", "5", "3", "3", "--oracle"], "3*V4 + V0 | AGREE\n"),
+    (["fusion", "--p", "7", "0", "4"], "V4\n"),
+    (
+        ["fusion", "--p", "5", "2", "3", "--json"],
+        '{"command": "fusion", "params": {"p": 5, "m": 2, "n": 3, "oracle": false}, '
+        '"result": {"decomposition": [0, 1, 0, 0, 2], "display": "2*V4 + V1"}}\n',
+    ),
+    (
+        ["fusion", "--p", "5", "3", "3", "--oracle", "--json"],
+        '{"command": "fusion", "params": {"p": 5, "m": 3, "n": 3, "oracle": true}, '
+        '"result": {"decomposition": [1, 0, 0, 0, 3], "display": "3*V4 + V0", '
+        '"oracle": [1, 0, 0, 0, 3], "agree": true}}\n',
+    ),
+    (
+        ["markov", "--p", "2", "--example"],
+        "[S] = [[2,1],[0,1]]\n"
+        "[S^2] = [[4,3],[0,1]]\n"
+        "P(S) = [[1,1/3],[0,2/3]]\n"
+        "P(S^2) = [[1,3/5],[0,2/5]]\n"
+        "P(S)^2 = [[1,5/9],[0,4/9]]\n"
+        "P(S^2) != P(S)^2: P is not multiplicative for this map\n",
+    ),
+    (
+        ["markov", "--p", "2", "--example", "--json"],
+        '{"command": "markov", "params": {"p": 2, "example": true}, "result": '
+        '{"s": [[2, 1], [0, 1]], "s_squared": [[4, 3], [0, 1]], '
+        '"p_of_s": [["1", "1/3"], ["0", "2/3"]], '
+        '"p_of_s_squared": [["1", "3/5"], ["0", "2/5"]], '
+        '"p_of_s_power_2": [["1", "5/9"], ["0", "4/9"]], "multiplicative": false}}\n',
+    ),
+    (
+        ["markov", "--p", "3", "--seed", "V1", "--power", "2"],
+        "P(T) = [[0,1/4,0],[1,0,0],[0,3/4,1]]\n"
+        "P(T)^2 = [[1/4,0,0],[0,1/4,0],[3/4,3/4,1]]\n"
+        "P(T^2) = [[1/4,0,0],[0,1/4,0],[3/4,3/4,1]]\n"
+        "multiplicative: ok\n"
+        "decay_rate = 1/4\n",
+    ),
+    (
+        ["markov", "--p", "5", "--seed", "V1", "--power", "3", "--json"],
+        '{"command": "markov", "params": {"p": 5, "seed": "V1", "power": 3, '
+        '"example": false}, "result": {"seed": [0, 1, 0, 0, 0], "power": 3, '
+        '"p_of_t": [["0", "1/4", "0", "0", "0"], ["1", "0", "1/3", "0", "0"], '
+        '["0", "3/4", "0", "3/8", "0"], ["0", "0", "2/3", "0", "0"], '
+        '["0", "0", "0", "5/8", "1"]], '
+        '"p_of_t_power": [["0", "1/8", "0", "1/32", "0"], ["1/2", "0", "1/4", "0", "0"], '
+        '["0", "9/16", "0", "3/16", "0"], ["1/2", "0", "1/3", "0", "0"], '
+        '["0", "5/16", "5/12", "25/32", "1"]], '
+        '"p_of_t_direct": [["0", "1/8", "0", "1/32", "0"], ["1/2", "0", "1/4", "0", "0"], '
+        '["0", "9/16", "0", "3/16", "0"], ["1/2", "0", "1/3", "0", "0"], '
+        '["0", "5/16", "5/12", "25/32", "1"]], '
+        '"multiplicative": true, "decay_rate": "11/16"}}\n',
+    ),
+    (
+        ["markov", "--p", "3", "--seed", "V0", "--power", "5", "--json"],
+        '{"command": "markov", "params": {"p": 3, "seed": "V0", "power": 5, '
+        '"example": false}, "result": {"seed": [1, 0, 0], "power": 5, '
+        '"p_of_t": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '"p_of_t_power": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '"p_of_t_direct": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '"multiplicative": true, "decay_rate": null}}\n',
+    ),
+    (
+        ["torus", "--weights", "2,-1", "--n", "3"],
+        "count = 3\nprobability = 3/8\nbound = 0.933358864312 (t=1, v=27/4, b=3/2)\n",
+    ),
+    (
+        ["torus", "--weights", "1,-1", "--n", "4"],
+        "count = 6\nprobability = 3/8\n"
+        "bound: unavailable (weights (1, -1) sum to 0; the bound needs a positive sum)\n",
+    ),
+    (["torus", "--diagonal", "--m", "3", "--n", "2"], "count = 90\n"),
+    (
+        ["torus", "--weights", "2,-1", "--n", "30", "--json"],
+        '{"command": "torus", "params": {"diagonal": false, "weights": [2, -1], "n": 30}, '
+        '"result": {"count": 30045015, "probability": "30045015/1073741824", '
+        '"bound": 0.5017490561548967, "bound_inputs": {"t": "10", "v": "135/2", "b": "3/2"}}}\n',
+    ),
+    (
+        ["torus", "--weights", "1,-1", "--n", "4", "--json"],
+        '{"command": "torus", "params": {"diagonal": false, "weights": [1, -1], "n": 4}, '
+        '"result": {"count": 6, "probability": "3/8", "bound": null}}\n',
+    ),
+    (
+        ["torus", "--diagonal", "--m", "3", "--n", "2", "--json"],
+        '{"command": "torus", "params": {"diagonal": true, "m": 3, "n": 2}, '
+        '"result": {"count": 90}}\n',
+    ),
+    (
+        ["chartab", "TABLE", "decompose", "--irrep", "std", "--power", "2"],
+        "triv: 1\nsign: 1\nstd: 1\n",
+    ),
+    (["chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign"], "d = 2\n"),
+    (
+        ["chartab", "TABLE", "regular-check", "--irrep", "std"],
+        "OK: std (x) Regular = 2 * Regular, TS=2\n",
+    ),
+    (["chartab", "TABLE", "min-regular", "--irrep", "std"], "N = 2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(argv, expected, capsys, s3_file):
+    argv = [s3_file if token == "TABLE" else token for token in argv]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (0, expected)

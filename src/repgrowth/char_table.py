@@ -1,26 +1,132 @@
-"""Complex character tables of finite groups, with exact-or-float scalars.
+"""Complex character tables of finite groups, in exact arithmetic.
 
-Values are ``Fraction`` when rational and ``complex`` otherwise, so rational
-tables (all symmetric groups here) stay exact end to end and cyclotomic
-tables fall back to floats with explicit tolerances.  Multiplicities come
-from the standard inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); a
-rational one is accepted only when it is exactly a non-negative integer, a
-complex one when it is within INTEGRALITY_TOL of one.
+A rational value is an ``int`` or ``Fraction`` and an irrational one a
+``Cyclotomic``, so rational tables run on Python's own numbers.  Multiplicities
+come from the inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check
+on a table or a multiplicity is an exact equality.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 from numbers import Rational
-from typing import Union
 
-Scalar = Union[Fraction, complex]
 
-ORTHOGONALITY_TOL = 1e-9
-INTEGRALITY_TOL = 1e-6
+def _divmod(num: list, den: tuple[int, ...]) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic den; coefficients constant term first."""
+    num, deg = list(num), len(den) - 1
+    quotient = [0] * (len(num) - deg)
+    for top in range(len(num) - 1, deg - 1, -1):
+        q = quotient[top - deg] = num[top]
+        for j, d in enumerate(den):
+            num[top - deg + j] -= q * d
+    return quotient, num[:deg]
+
+
+@cache
+def _cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first: x^n - 1 divided exactly by Phi_d for d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divmod(poly, _cyclotomic_poly(d))[0]
+    return tuple(poly)
+
+
+@dataclass(frozen=True, eq=False)
+class Cyclotomic:
+    """An irrational sum_k coeffs[k] * zeta_n**k, zeta_n = exp(2 pi i / n), as GAP
+    stores cyclotomics: ``coeffs`` is the unique remainder modulo Phi_n.  A
+    rational result of arithmetic comes back as an ``int`` or ``Fraction``."""
+
+    n: int
+    coeffs: tuple
+
+    def __add__(self, other):
+        if not isinstance(other, (Rational, Cyclotomic)):
+            return NotImplemented
+        n = lcm(self.n, _order(other))
+        dense = [0] * n
+        for k, c in _terms(self, n) + _terms(other, n):
+            dense[k] += c
+        return _reduce(n, dense)
+
+    def __mul__(self, other):
+        if not isinstance(other, (Rational, Cyclotomic)):
+            return NotImplemented
+        n = lcm(self.n, _order(other))
+        dense, right = [0] * n, _terms(other, n)
+        for i, a in _terms(self, n):
+            for j, b in right:
+                dense[(i + j) % n] += a * b
+        return _reduce(n, dense)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self) -> Cyclotomic:
+        return Cyclotomic(self.n, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, d: int):
+        if d < 0:
+            raise ValueError(f"power must be non-negative, got {d}")
+        result = 1
+        for bit in bin(d)[2:]:
+            result = result * result * self if bit == "1" else result * result
+        return result
+
+    def conjugate(self):
+        gap = [0] * (self.n - len(self.coeffs))  # zeta**k -> zeta**(n - k)
+        return _reduce(self.n, [self.coeffs[0], *gap, *self.coeffs[:0:-1]])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Cyclotomic):
+            return self - other == 0  # the difference is rational only when it is 0
+        return False if isinstance(other, Rational) else NotImplemented
+
+    def __hash__(self) -> int:
+        # The mean of the Galois conjugates is the same in every field holding the value:
+        # mu(m)/phi(m) for zeta of order m, with -mu(m) the x^(phi(m)-1) coefficient of Phi_m.
+        polys = (_cyclotomic_poly(self.n // gcd(self.n, k)) for k in range(len(self.coeffs)))
+        return hash(sum(Fraction(-c * p[-2], len(p) - 1) for c, p in zip(self.coeffs, polys)))
+
+    def __str__(self) -> str:
+        terms = (f"{c}*z{self.n}^{k}" if k else str(c) for k, c in enumerate(self.coeffs) if c)
+        return " + ".join(terms)
+
+
+Scalar = int | Fraction | Cyclotomic
+
+
+def _order(value: Scalar) -> int:
+    return value.n if isinstance(value, Cyclotomic) else 1
+
+
+def _terms(value: Scalar, n: int) -> list[tuple[int, Rational]]:
+    """Nonzero (exponent of zeta_n, coefficient) pairs of value; its order divides n."""
+    if isinstance(value, Cyclotomic):
+        return [(k * n // value.n, c) for k, c in enumerate(value.coeffs) if c]
+    return [(0, value)] if value else []
+
+
+def _reduce(n: int, dense: list) -> Scalar:
+    """sum_k dense[k] * zeta_n**k, rational whenever its remainder mod Phi_n is."""
+    coeffs = _divmod(dense, _cyclotomic_poly(n))[1]
+    return Cyclotomic(n, tuple(coeffs)) if any(coeffs[1:]) else coeffs[0]
+
+
+def root_of_unity(n: int, k: int = 1) -> Scalar:
+    """zeta_n**k = exp(2 pi i k / n), exactly."""
+    return _reduce(n, [int(j == k % n) for j in range(n)])
 
 
 class InvalidCharacterError(ValueError):
@@ -57,13 +163,10 @@ def tensor_power_char(f: ClassFunction, d: int) -> ClassFunction:
     return ClassFunction(tuple(v**d for v in f.values))
 
 
-def _near_int(value: Scalar) -> int | None:
-    if isinstance(value, Rational):
-        return int(value) if value.denominator == 1 else None
-    nearest = round(value.real)
-    if abs(value.imag) > INTEGRALITY_TOL or abs(value.real - nearest) > INTEGRALITY_TOL:
-        return None
-    return nearest
+def _integer(value: Scalar) -> int | None:
+    if isinstance(value, Rational) and value.denominator == 1:
+        return int(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -98,23 +201,22 @@ class CharacterTable:
         for name, chi in zip(self.irrep_names, self.irreps):
             if len(chi.values) != k:
                 raise InvalidCharacterError(f"{name} has {len(chi.values)} values, not {k}")
-            degree = _near_int(chi.values[0])
+            degree = _integer(chi.values[0])
             if degree is None or degree < 1:
                 raise InvalidCharacterError(f"{name} has degree {chi.values[0]}")
         if sum(self.degree(i) ** 2 for i in range(k)) != self.group_order:
             raise InvalidCharacterError("squared degrees do not sum to the group order")
         for i in range(k):
             for j in range(i, k):
-                expected = 1 if i == j else 0
-                got = complex(inner_product(self, self.irreps[i], self.irreps[j]))
-                if abs(got - expected) > ORTHOGONALITY_TOL:
+                got = inner_product(self, self.irreps[i], self.irreps[j])
+                if got != (1 if i == j else 0):
                     raise InvalidCharacterError(
                         f"rows {self.irrep_names[i]}, {self.irrep_names[j]} "
                         f"have inner product {got}"
                     )
 
     def degree(self, i: int) -> int:
-        return _near_int(self.irreps[i].values[0])  # validated integral
+        return _integer(self.irreps[i].values[0])  # validated integral
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -123,7 +225,7 @@ class CharacterTable:
     @property
     def trivial_index(self) -> int:
         for i, chi in enumerate(self.irreps):
-            if all(abs(complex(v) - 1) <= ORTHOGONALITY_TOL for v in chi.values):
+            if all(v == 1 for v in chi.values):
                 return i
         raise InvalidCharacterError("table has no trivial character")
 
@@ -137,24 +239,28 @@ class CharacterTable:
 
 
 def inner_product(table: CharacterTable, f: ClassFunction, g: ClassFunction) -> Scalar:
-    """(1/|G|) sum over classes of |c| * f(c) * conj(g(c))."""
-    total: Scalar = Fraction(0)
+    """(1/|G|) sum over classes of |c| * f(c) * conj(g(c)), summed as coefficients on
+    the powers of zeta_n (n the lcm of the orders of the values) and reduced once."""
+    n = lcm(*map(_order, f.values + g.values))
+    dense = [0] * n
     for size, fv, gv in zip(table.class_sizes, f.values, g.values):
-        total = total + size * fv * gv.conjugate()
-    return total / table.group_order
+        conj = [(-j % n, size * b) for j, b in _terms(gv, n)]
+        for i, a in _terms(fv, n):
+            for j, b in conj:
+                dense[(i + j) % n] += a * b
+    return _reduce(n, [Fraction(c, table.group_order) for c in dense])
 
 
 def decompose(table: CharacterTable, f: ClassFunction) -> tuple[int, ...]:
     """Multiplicities of each irreducible in f, in table row order.
 
     Raises InvalidCharacterError when any inner product is not a non-negative
-    integer (exactly for rational values, within INTEGRALITY_TOL for complex
-    ones): such an f is not a character of this group.
+    integer: such an f is not a character of this group.
     """
     mults = []
     for name, chi in zip(table.irrep_names, table.irreps):
         value = inner_product(table, f, chi)
-        mult = _near_int(value)
+        mult = _integer(value)
         if mult is None or mult < 0:
             raise InvalidCharacterError(
                 f"multiplicity of {name} is {value}, not a non-negative integer"
@@ -170,10 +276,7 @@ def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
     kernel, which is what makes tensor powers of f eventually contain
     every irreducible.
     """
-    identity = complex(f.values[0])
-    return all(
-        abs(complex(v) - identity) > ORTHOGONALITY_TOL for v in f.values[1:]
-    )
+    return all(v != f.values[0] for v in f.values[1:])
 
 
 def first_power_containing(
@@ -200,9 +303,7 @@ def first_power_containing(
 
 def regular_character(table: CharacterTable) -> ClassFunction:
     """|G| at the identity, 0 elsewhere."""
-    return ClassFunction(
-        (Fraction(table.group_order),) + (Fraction(0),) * (len(table.class_sizes) - 1)
-    )
+    return ClassFunction((table.group_order,) + (0,) * (len(table.class_sizes) - 1))
 
 
 def regular_tensor_check(table: CharacterTable, f: ClassFunction) -> bool:
@@ -212,7 +313,7 @@ def regular_tensor_check(table: CharacterTable, f: ClassFunction) -> bool:
     in particular the trivial multiplicity -- the trivial-summand count of
     V (x) Regular -- must equal deg(f).
     """
-    degree = _near_int(f.values[0])
+    degree = _integer(f.values[0])
     if degree is None or degree < 1:
         raise InvalidCharacterError(f"degree {f.values[0]} is not a positive integer")
     mults = decompose(table, f * regular_character(table))
@@ -251,32 +352,12 @@ def min_power_containing_regular(
 # --- Built-in tables -------------------------------------------------------
 
 
-def _rational_table(
-    order: int, sizes: tuple[int, ...], rows: dict[str, tuple[int, ...]]
-) -> CharacterTable:
+def _table(order: int, sizes: tuple[int, ...], rows: dict[str, tuple]) -> CharacterTable:
     return CharacterTable(
         group_order=order,
         class_sizes=sizes,
         irrep_names=tuple(rows),
-        irreps=tuple(
-            ClassFunction(tuple(Fraction(v) for v in values)) for values in rows.values()
-        ),
-    )
-
-
-def _cyclic_table(n: int) -> CharacterTable:
-    omega = cmath.exp(2j * cmath.pi / n)
-    rows = []
-    for i in range(n):
-        if i == 0:
-            rows.append(ClassFunction((Fraction(1),) * n))
-        else:
-            rows.append(ClassFunction(tuple(omega ** (i * j) for j in range(n))))
-    return CharacterTable(
-        group_order=n,
-        class_sizes=(1,) * n,
-        irrep_names=tuple("triv" if i == 0 else f"chi{i}" for i in range(n)),
-        irreps=tuple(rows),
+        irreps=tuple(ClassFunction(values) for values in rows.values()),
     )
 
 
@@ -284,19 +365,24 @@ def builtin_table(name: str) -> CharacterTable:
     """Tables shipped for tests and CLI demos: z2, z3, z4, s3, s4, d4."""
     key = name.lower()
     if key == "z2":
-        return _rational_table(2, (1, 1), {"triv": (1, 1), "sign": (1, -1)})
+        return _table(2, (1, 1), {"triv": (1, 1), "sign": (1, -1)})
     if key in ("z3", "z4"):
-        return _cyclic_table(int(key[1:]))
+        n = int(key[1:])
+        rows = {
+            "triv" if i == 0 else f"chi{i}": tuple(root_of_unity(n, i * j) for j in range(n))
+            for i in range(n)
+        }
+        return _table(n, (1,) * n, rows)
     if key == "s3":
         # Classes: e (1), transpositions (3), 3-cycles (2).
-        return _rational_table(
+        return _table(
             6,
             (1, 3, 2),
             {"triv": (1, 1, 1), "sign": (1, -1, 1), "std": (2, 0, -1)},
         )
     if key == "s4":
         # Classes: e (1), 2-cycles (6), 2+2-cycles (3), 3-cycles (8), 4-cycles (6).
-        return _rational_table(
+        return _table(
             24,
             (1, 6, 3, 8, 6),
             {
@@ -309,7 +395,7 @@ def builtin_table(name: str) -> CharacterTable:
         )
     if key == "d4":
         # Classes: e, r^2, {r, r^3}, reflections, diagonal reflections.
-        return _rational_table(
+        return _table(
             8,
             (1, 1, 2, 2, 2),
             {
@@ -329,7 +415,8 @@ def builtin_table(name: str) -> CharacterTable:
 #   <k class sizes>
 #   <name> <k values>        (one line per irreducible)
 #
-# Values are a, a+bi, or a-bi with a, b integers or fractions like -1/2.
+# Values are a, a+bi, or a-bi with a, b integers or fractions like -1/2; i is
+# zeta_4.
 # Blank lines and lines starting with '#' are skipped.
 
 _VALUE_RE = re.compile(
@@ -341,13 +428,8 @@ def _parse_value(token: str, line: int) -> Scalar:
     match = _VALUE_RE.match(token)
     if match is None:
         raise TableParseError(line, f"malformed value {token!r}")
-    real = Fraction(match.group("re"))
-    if match.group("im") is None:
-        return real
-    imag = Fraction(match.group("im"))
-    if imag == 0:
-        return real
-    return complex(real, imag)
+    real, imag = (Fraction(p) if "/" in p else int(p) for p in match.groupdict("0").values())
+    return real + imag * root_of_unity(4) if match.group("im") else real
 
 
 def _parse_int(token: str, line: int, what: str) -> int:

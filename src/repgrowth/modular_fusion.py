@@ -11,14 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import isqrt
 
 from .growth import GrowthSeries
 
 
+@cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    return all(p % q for q in range(2, int(p**0.5) + 1))
+    return all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def require_prime(p: int) -> None:

@@ -1,8 +1,12 @@
 """Character-table arithmetic on built-in groups and the text-file format."""
 
+import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgrowth import char_table
 from repgrowth.char_table import (
@@ -19,8 +23,10 @@ from repgrowth.char_table import (
     min_power_containing_regular,
     regular_character,
     regular_tensor_check,
+    root_of_unity,
     tensor_power_char,
 )
+from repgrowth.cli import main
 
 S3_TEXT = """\
 6 3
@@ -92,8 +98,7 @@ def test_decompose_identities_across_builtins():
                 # Degree bookkeeping: sum of mult * degree = deg(f).
                 assert sum(m * di for m, di in zip(mults, table.degrees)) == d**power
                 # Parseval: sum of squares = <f, f>.
-                norm = complex(inner_product(table, f, f))
-                assert abs(norm - sum(m**2 for m in mults)) < 1e-6
+                assert inner_product(table, f, f) == sum(m**2 for m in mults)
 
 
 def test_is_faithful():
@@ -197,7 +202,8 @@ def test_load_table_complex_values():
     table = load_table(Z4_TEXT)
     assert table.group_order == 4
     chi = table.irreps[table.irrep_index("i")]
-    assert chi.values[1] == complex(0, 1)
+    assert chi.values[1] ** 2 == -1
+    assert chi.values[1].conjugate() == table.irreps[table.irrep_index("mi")].values[1]
     assert is_faithful(table, chi)
     assert decompose(table, tensor_power_char(chi, 2)) == (0, 0, 1, 0)
 
@@ -250,3 +256,143 @@ def test_tensor_power_char_validates():
     s3 = builtin_table("s3")
     with pytest.raises(ValueError):
         tensor_power_char(s3.irreps[0], -1)
+
+
+# --- Exact cyclotomic values ------------------------------------------------
+
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _z4_one_plus_chi1_mults(d):
+    """Multiplicities in (1 + chi1)**d on Z/4, summed in Gaussian integers."""
+    powers = []
+    for k in range(4):
+        base, value = (1 + I_POWERS[k][0], I_POWERS[k][1]), (1, 0)
+        for _ in range(d):
+            value = _gauss_mul(value, base)
+        powers.append(value)
+    mults = []
+    for j in range(4):
+        re = sum(_gauss_mul(powers[k], I_POWERS[-j * k % 4])[0] for k in range(4))
+        im = sum(_gauss_mul(powers[k], I_POWERS[-j * k % 4])[1] for k in range(4))
+        assert im == 0 and re % 4 == 0
+        mults.append(re // 4)
+    return tuple(mults)
+
+
+@pytest.mark.parametrize("source", ["builtin", "parsed"])
+@pytest.mark.parametrize("power", [60, 200, 2000])
+def test_decompose_large_cyclotomic_powers_are_exact(source, power):
+    table = builtin_table("z4") if source == "builtin" else load_table(Z4_TEXT)
+    f = ClassFunction(tuple(1 + v for v in table.irreps[1].values))
+    mults = decompose(table, tensor_power_char(f, power))
+    assert mults == _z4_one_plus_chi1_mults(power)
+    # (1 + i)**d is real with value (-4)**(d/4) when 4 divides d.
+    assert mults[0] == (2**power + 2 * (-4) ** (power // 4)) // 4
+
+
+def _product_table_text(a_text, b_text):
+    """The A x B table file, for A given with a+bi values and B with integer ones."""
+
+    def parse(text):
+        lines = [line.split() for line in text.splitlines() if line and line[0] != "#"]
+        return int(lines[0][0]), lines[1], lines[2:]
+
+    gauss = {"1": (1, 0), "-1": (-1, 0), "0+1i": (0, 1), "0-1i": (0, -1)}
+    a_order, a_sizes, a_rows = parse(a_text)
+    b_order, b_sizes, b_rows = parse(b_text)
+    sizes = [int(x) * int(y) for x in a_sizes for y in b_sizes]
+    lines = [f"{a_order * b_order} {len(sizes)}", " ".join(map(str, sizes))]
+    for a_name, *a_values in a_rows:
+        for b_name, *b_values in b_rows:
+            values = [
+                f"{gauss[x][0] * int(y)}{gauss[x][1] * int(y):+d}i"
+                for x in a_values
+                for y in b_values
+            ]
+            lines.append(" ".join([f"{a_name}_{b_name}"] + values))
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_decomposes_cyclotomic_product_table_exactly(tmp_path, capsys):
+    path = tmp_path / "z4xs3.tbl"
+    path.write_text(_product_table_text(Z4_TEXT, S3_TEXT), encoding="utf-8")
+    code = main(["chartab", str(path), "decompose", "--irrep", "i_std", "--power", "60"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    # i**60 = 1, so (i x std)**60 = triv x std**60.
+    s3 = {"triv": (2**60 + 2) // 6, "sign": (2**60 + 2) // 6, "std": (2**61 - 2) // 6}
+    expected = [
+        f"{z}_{s}: {s3[s] if z == 'triv' else 0}"
+        for z in ("triv", "i", "m1", "mi")
+        for s in ("triv", "sign", "std")
+    ]
+    assert captured.out.splitlines() == expected
+
+
+def _evaluate(value):
+    """A complex approximation, the independent oracle for exact arithmetic."""
+    if isinstance(value, char_table.Cyclotomic):
+        return sum(
+            float(c) * cmath.exp(2j * cmath.pi * k / value.n)
+            for k, c in enumerate(value.coeffs)
+        )
+    return complex(float(value))
+
+
+@st.composite
+def cyclotomics(draw, orders=range(1, 13)):
+    """An element of Q(zeta_n), n <= 12, with its complex value computed directly."""
+    n = draw(st.sampled_from(orders))
+    denominator = draw(st.sampled_from((1, 2, 3)))
+    numerators = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    coeffs = [Fraction(c, denominator) for c in numerators]
+    value = sum((c * root_of_unity(n, k) for k, c in enumerate(coeffs)), 0)
+    direct = sum(float(c) * cmath.exp(2j * cmath.pi * k / n) for k, c in enumerate(coeffs))
+    return value, direct
+
+
+DIVISORS_OF_12 = (1, 2, 3, 4, 6, 12)
+
+
+@settings(deadline=None)
+@given(cyclotomics(DIVISORS_OF_12), cyclotomics(DIVISORS_OF_12), cyclotomics(DIVISORS_OF_12))
+def test_cyclotomic_ring_laws(xd, yd, zd):
+    (x, _), (y, _), (z, _) = xd, yd, zd
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x * 0 == 0
+    assert x - x == 0 and -x + x == 0 and 1 - x == -(x - 1)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x * x * x == x**3 and x**0 == 1
+
+
+@settings(deadline=None)
+@given(cyclotomics(), cyclotomics())
+def test_cyclotomic_conjugation_and_complex_oracle(xd, yd):
+    (x, x_direct), (y, y_direct) = xd, yd
+    assert x.conjugate().conjugate() == x
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert abs(_evaluate(x) - x_direct) < 1e-9
+    assert abs(_evaluate(x.conjugate()) - x_direct.conjugate()) < 1e-9
+    assert abs(_evaluate(x + y) - (x_direct + y_direct)) < 1e-9
+    assert abs(_evaluate(x * y) - x_direct * y_direct) < 1e-8
+
+
+def test_cyclotomic_mixed_orders_and_degrees():
+    assert root_of_unity(3) * root_of_unity(4) == root_of_unity(12, 7)
+    assert root_of_unity(12) ** 4 == root_of_unity(3)
+    assert hash(root_of_unity(12) ** 4) == hash(root_of_unity(3))
+    assert root_of_unity(4) ** 2 == -1 and root_of_unity(6) ** 3 == -1
+    for n in range(1, 31):
+        assert root_of_unity(n) ** n == 1
+        phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert len(char_table._cyclotomic_poly(n)) - 1 == phi
+        # A rational result is a plain number, never a Cyclotomic.
+        assert isinstance(sum(root_of_unity(n, k) for k in range(n)), (int, Fraction))

@@ -415,12 +415,12 @@ def builtin_table(name: str) -> CharacterTable:
 #   <k class sizes>
 #   <name> <k values>        (one line per irreducible)
 #
-# Values are a, a+bi, or a-bi with a, b integers or fractions like -1/2; i is
-# zeta_4.
+# Values are a, a+bi, or a-bi with a, b integers or fractions like -1/2 (the
+# denominator nonzero); i is zeta_4.
 # Blank lines and lines starting with '#' are skipped.
 
 _VALUE_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)(?:(?P<im>[+-]\d+(?:/\d+)?)i)?$"
+    r"^(?P<re>[+-]?\d+(?:/0*[1-9]\d*)?)(?:(?P<im>[+-]\d+(?:/0*[1-9]\d*)?)i)?$"
 )
 
 

@@ -3,7 +3,8 @@
 In characteristic zero, V_lam (x) V decomposes as the sum of the V_mu over
 all mu obtained from lam by adding a single box.  Iterating from the empty
 partition decomposes V^(x)n; the multiplicity of V_lam is the number of
-standard Young tableaux of shape lam.
+standard Young tableaux of shape lam.  Trivial counts therefore need no
+sweep: they are the hook-length counts of the rectangles (k, ..., k).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .growth import GrowthSeries
-from .partitions import Partition, is_close_to_mean, weyl_dimension
+from .partitions import Partition, hook_syt_count, is_close_to_mean, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -72,52 +73,46 @@ def tensor_power_decomposition(m: int, n: int) -> Decomposition:
         raise ValueError(f"m must be at least 1, got {m}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    d = Decomposition(m, 0, {Partition((), m): 1})
+    states = {(0,) * m: 1}
     for _ in range(n):
-        d = pieri_step(d)
-    return d
+        states = _add_box(states)
+    return Decomposition(m, n, {Partition(p, m): c for p, c in states.items()})
 
 
 def pieri_step(d: Decomposition) -> Decomposition:
     """Tensor a decomposition with V: add one box in every admissible row."""
-    out: dict[Partition, int] = {}
-    for lam, mult in d.mults.items():
-        parts = lam.parts
-        for i in range(d.m):
-            if i > 0 and parts[i - 1] == parts[i]:
-                continue  # adding here would break weak decrease
-            mu = Partition(parts[:i] + (parts[i] + 1,) + parts[i + 1 :], d.m)
-            out[mu] = out.get(mu, 0) + mult
-    return Decomposition(d.m, d.n + 1, out)
+    states = _add_box({lam.parts: mult for lam, mult in d.mults.items()})
+    return Decomposition(d.m, d.n + 1, {Partition(p, d.m): c for p, c in states.items()})
+
+
+def _add_box(states: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """One Pieri step on padded part tuples, which are trusted to be partitions."""
+    out: dict[tuple[int, ...], int] = {}
+    for parts, mult in states.items():
+        for i, row in enumerate(parts):
+            if i == 0 or parts[i - 1] > row:  # the new box keeps the rows weakly decreasing
+                mu = parts[:i] + (row + 1,) + parts[i + 1 :]
+                out[mu] = out.get(mu, 0) + mult
+    return out
 
 
 def trivial_multiplicity(m: int, n: int) -> int:
     """Number of trivial SL_m summands of V^(x)n.
 
-    The trivial class is the rectangle (n/m, ..., n/m); the count is zero
-    unless m divides n.
+    The trivial class is the rectangle (n/m, ..., n/m); the count is its
+    hook-length SYT count, and zero unless m divides n.
     """
-    if n % m != 0:
-        return 0
-    d = tensor_power_decomposition(m, n)
-    return d.mults.get(Partition((n // m,) * m, m), 0)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    return hook_syt_count((n // m,) * m) if n % m == 0 else 0
 
 
 def ts_series_sl(m: int, max_k: int) -> GrowthSeries:
-    """Trivial-summand counts of V^(x)(m*k) for k = 1..max_k, as a growth series.
-
-    Runs a single Pieri sweep to degree m*max_k, sampling the rectangle
-    multiplicity at every multiple of m.
-    """
+    """Trivial-summand counts of V^(x)(m*k) for k = 1..max_k, as a growth series."""
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    values = []
-    d = tensor_power_decomposition(m, 0)
-    for degree in range(1, m * max_k + 1):
-        d = pieri_step(d)
-        if degree % m == 0:
-            values.append(d.mults.get(Partition((degree // m,) * m, m), 0))
-    return GrowthSeries(step=m, values=tuple(values), dim_v=m)
+    values = tuple(trivial_multiplicity(m, m * k) for k in range(1, max_k + 1))
+    return GrowthSeries(step=m, values=values, dim_v=m)
 
 
 def mean_mass_report(d: Decomposition, theta: Fraction = Fraction(2, 3)) -> MeanMassReport:

@@ -235,6 +235,7 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         ["chartab", str(tmp_path / "missing.tbl"), "decompose", "--irrep", "std"],
         ["nosuchcommand"],
         ["ts", "sl", "--m", "2", "--max", "0"],
+        ["ts", "sl", "--m", "0", "--max", "3"],
         ["ts", "modular", "--p", "3", "--seed", "V1", "--step", "0", "--max", "2"],
         ["ts", "modular", "--p", "0", "--seed", "V1", "--max", "2"],
         ["pieri", "--m", "2", "--n", "-1"],
@@ -249,11 +250,17 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
 
 def test_malformed_table_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.tbl"
-    path.write_text("6 3\n1 3 2\ntriv 1 1 1\nsign 1 -1 1\nstd 2 0 zz\n")
-    code = cli.main(["chartab", str(path), "decompose", "--irrep", "std"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "line 5" in captured.err
+    cases = [
+        ("6 3\n1 3 2\ntriv 1 1 1\nsign 1 -1 1\nstd 2 0 zz\n", "line 5"),
+        ("2 2\n1 1\ntriv 1 1\nsign 1 1/0\n", "line 4"),  # zero denominator
+        ("2 2\n1 1\ntriv 1 1\nsign 1 1+1/0i\n", "line 4"),
+    ]
+    for text, line in cases:
+        path.write_text(text)
+        code = cli.main(["chartab", str(path), "decompose", "--irrep", "triv"])
+        captured = capsys.readouterr()
+        assert code == 2, text
+        assert line in captured.err, text
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,8 @@
 """Pieri-rule decompositions against the hook-length oracle and mass identities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgrowth.growth import fekete_check
 from repgrowth.partitions import Partition, hook_syt_count
@@ -73,6 +75,8 @@ def test_trivial_multiplicity_catalan():
     assert trivial_multiplicity(3, 4) == 0
     # 3xk rectangles: three-row ballot numbers.
     assert tuple(trivial_multiplicity(3, 3 * k) for k in range(1, 5)) == (1, 5, 42, 462)
+    with pytest.raises(ValueError, match="m must be at least 1, got 0"):
+        trivial_multiplicity(0, 4)
 
 
 def test_ts_series_sl_matches_rectangles():
@@ -86,6 +90,23 @@ def test_ts_series_sl_matches_rectangles():
     )
     with pytest.raises(ValueError):
         ts_series_sl(2, 0)
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 5), k=st.integers(1, 4), n=st.integers(0, 12))
+def test_closed_forms_match_the_pieri_sweep(m, k, n):
+    # The sweep is the independent oracle for the hook-length rectangle counts.
+    rectangles = tuple(
+        tensor_power_decomposition(m, m * j).mults[Partition((j,) * m, m)]
+        for j in range(1, k + 1)
+    )
+    assert ts_series_sl(m, k).values == rectangles
+    d = tensor_power_decomposition(m, n)
+    assert trivial_multiplicity(m, n) == d.mults.get(Partition((n // m,) * m, m), 0)
+    stepped = pieri_step(d)
+    after = tensor_power_decomposition(m, n + 1)
+    assert (stepped.m, stepped.n) == (after.m, after.n)
+    assert list(stepped.mults.items()) == list(after.mults.items())
 
 
 def test_ts_series_sl_supermultiplicative():

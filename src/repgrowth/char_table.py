@@ -335,6 +335,8 @@ def min_power_containing_regular(
     if not is_faithful(table, f):
         raise ValueError("character is not faithful")
     cap = table.group_order if max_n is None else max_n
+    if cap < 1:
+        raise ValueError(f"max_n must be at least 1, got {cap}")
     one_plus = ClassFunction(tuple(1 + v for v in f.values))
 
     def contains_regular(n: int) -> bool:

@@ -3,8 +3,8 @@
 There are exactly p indecomposable modules V_0, ..., V_{p-1}, with dim V_i =
 i + 1 (V_i is a single Jordan block of size i + 1 for a generator).  Tensor
 products decompose by a closed-form rule; ``jordan_oracle`` re-derives the
-same decomposition independently from ranks of powers of an explicit nilpotent
-matrix over F_p, which is what the tests cross-check against.
+same decomposition independently from the image chain of the nilpotent
+J (x) J - I over F_p, applied as a three-term stencil; the tests compare both.
 """
 
 from __future__ import annotations
@@ -142,71 +142,49 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
 # --- Independent oracle: Jordan form of a tensor product of unipotent blocks ---
 
 
-def _unipotent_block(size: int) -> list[list[int]]:
-    return [[1 if j in (i, i + 1) else 0 for j in range(size)] for i in range(size)]
+def _echelon(vectors: list[list[int]], p: int) -> list[list[int]]:
+    """A basis over F_p of the span of ``vectors``, each row monic at its pivot.
 
-
-def _kronecker(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows_b, cols_b = len(b), len(b[0])
-    return [
-        [a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(cols_b)]
-        for i in range(len(a))
-        for k in range(rows_b)
-    ]
-
-
-def _matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    cols = list(zip(*b))
-    zero = [0] * len(cols)
-    return [
-        [sum(x * y for x, y in zip(row, col)) % p for col in cols] if any(row) else zero[:]
-        for row in a
-    ]
-
-
-def _rank_mod(matrix: list[list[int]], p: int) -> int:
-    rows = [row[:] for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    Every row is zero at the earlier rows' pivots, so one pass in order reduces.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        v = [x % p for x in v]
+        for col, row in basis:
+            if f := v[col]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is not None:
+            inv = pow(v[col], -1, p)
+            basis.append((col, [x * inv % p for x in v]))
+    return [row for _, row in basis]
 
 
 def jordan_oracle(p: int, m: int, n: int) -> FusionVector:
     """Decompose V_m (x) V_n from scratch, bypassing the closed-form rule.
 
-    Builds g = J_{m+1} (x) J_{n+1} over F_p for unipotent Jordan blocks J,
-    sets N = g - I (nilpotent with N**p = 0), and reads off the number of
-    Jordan blocks of size s from the ranks r_s = rank(N**s):
-    exactly r_{s-1} - 2*r_s + r_{s+1} blocks of size s.  A size-s block of g
-    is a copy of V_{s-1}.
+    N = J_{m+1} (x) J_{n+1} - I over F_p (J unipotent Jordan blocks, N**p = 0)
+    acts as a stencil: e_(a,b) maps to e_(a-1,b) + e_(a,b-1) + e_(a-1,b-1).
+    From the standard basis, r_s = rank(N**s) is the dimension of the image
+    chain im(N**(s+1)) = N im(N**s).  There are exactly r_{s-1} - 2*r_s + r_{s+1}
+    Jordan blocks of size s, and a size-s block is a copy of V_{s-1}.
     """
     require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
-    g = _kronecker(_unipotent_block(m + 1), _unipotent_block(n + 1))
-    size = (m + 1) * (n + 1)
-    nilpotent = [[(g[i][j] - (i == j)) % p for j in range(size)] for i in range(size)]
+    width, size = n + 1, (m + 1) * (n + 1)
+
+    def apply_n(v: list[int]) -> list[int]:
+        # (N v)(a, b) = v(a+1, b) + v(a, b+1) + v(a+1, b+1); off-grid terms are 0.
+        down = v[width:] + [0] * width  # v(a+1, b)
+        both = [x + y for x, y in zip(v, down)]  # v(a, b) + v(a+1, b)
+        return [d + (both[i + 1] if (i + 1) % width else 0) for i, d in enumerate(down)]
+
+    image = [[int(i == j) for j in range(size)] for i in range(size)]
     ranks = [size]
-    power = nilpotent
-    while len(ranks) <= p:
-        rank = _rank_mod(power, p)
-        ranks.append(rank)
-        if rank == 0:
-            break
-        power = _matmul_mod(power, nilpotent, p)
+    while ranks[-1] and len(ranks) <= p:
+        image = _echelon([apply_n(v) for v in image], p)
+        ranks.append(len(image))
     if len(ranks) == p + 1 and ranks[p] != 0:
         raise ArithmeticError(f"N**{p} is nonzero; ranks {ranks}")
     ranks.extend([0] * (p + 2 - len(ranks)))  # pad through r_{p+1}

@@ -104,6 +104,8 @@ def trivial_multiplicity(m: int, n: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     return hook_syt_count((n // m,) * m) if n % m == 0 else 0
 
 

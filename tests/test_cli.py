@@ -240,6 +240,7 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         ["ts", "modular", "--p", "0", "--seed", "V1", "--max", "2"],
         ["pieri", "--m", "2", "--n", "-1"],
         ["markov", "--p", "3", "--seed", "V1", "--power", "0"],
+        ["chartab", s3_file, "min-regular", "--irrep", "std", "--max", "0"],
     ]
     for argv in cases:
         code = cli.main(argv)

@@ -53,7 +53,7 @@ def test_fuse_basis_examples():
 
 
 def test_fuse_basis_whole_table_matches_jordan_oracle():
-    for p in PRIMES:
+    for p in (2, 3, 5, 7, 11, 13):
         for m in range(p):
             for n in range(p):
                 assert fuse_basis(p, m, n) == jordan_oracle(p, m, n), (p, m, n)

@@ -77,6 +77,9 @@ def test_trivial_multiplicity_catalan():
     assert tuple(trivial_multiplicity(3, 3 * k) for k in range(1, 5)) == (1, 5, 42, 462)
     with pytest.raises(ValueError, match="m must be at least 1, got 0"):
         trivial_multiplicity(0, 4)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            trivial_multiplicity(2, n)
 
 
 def test_ts_series_sl_matches_rectangles():

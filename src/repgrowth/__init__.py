@@ -42,6 +42,7 @@ from .modular_fusion import (
     basis_vector,
     fuse,
     fuse_basis,
+    fusion_matrix,
     is_prime,
     jordan_oracle,
     tensor_power,
@@ -114,6 +115,7 @@ __all__ = [
     "first_power_containing",
     "fuse",
     "fuse_basis",
+    "fusion_matrix",
     "hook_syt_count",
     "inner_product",
     "is_close_to_mean",

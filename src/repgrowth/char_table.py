@@ -257,16 +257,17 @@ def decompose(table: CharacterTable, f: ClassFunction) -> tuple[int, ...]:
     Raises InvalidCharacterError when any inner product is not a non-negative
     integer: such an f is not a character of this group.
     """
-    mults = []
-    for name, chi in zip(table.irrep_names, table.irreps):
-        value = inner_product(table, f, chi)
-        mult = _integer(value)
-        if mult is None or mult < 0:
-            raise InvalidCharacterError(
-                f"multiplicity of {name} is {value}, not a non-negative integer"
-            )
-        mults.append(mult)
-    return tuple(mults)
+    return tuple(_multiplicity(table, f, i) for i in range(len(table.irreps)))
+
+
+def _multiplicity(table: CharacterTable, f: ClassFunction, index: int) -> int:
+    value = inner_product(table, f, table.irreps[index])
+    mult = _integer(value)
+    if mult is None or mult < 0:
+        raise InvalidCharacterError(
+            f"multiplicity of {table.irrep_names[index]} is {value}, not a non-negative integer"
+        )
+    return mult
 
 
 def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
@@ -293,11 +294,13 @@ def first_power_containing(
         raise ValueError(f"target index {target} out of range")
     if max_d < 1:
         raise ValueError(f"max_d must be at least 1, got {max_d}")
+    if decompose(table, f)[target]:  # checks that f is a character, hence every power
+        return 1
     power = f
-    for d in range(1, max_d + 1):
-        if decompose(table, power)[target] >= 1:
-            return d
+    for d in range(2, max_d + 1):
         power = power * f
+        if _multiplicity(table, power, target):
+            return d
     return None
 
 

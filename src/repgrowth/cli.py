@@ -30,11 +30,11 @@ from .markov import (
     IntegerRingMap,
     decay_rate,
     p_of_map,
-    p_of_tensor_by,
 )
 from .modular_fusion import (
     FusionVector,
     fuse_basis,
+    fusion_matrix,
     jordan_oracle,
     require_prime,
     tensor_power,
@@ -256,9 +256,10 @@ def _cmd_markov(args) -> CommandResult:
     if args.power < 1:
         raise UsageError(f"--power must be at least 1, got {args.power}")
     seed = _parse_seed(args.p, args.seed)
-    one_step = p_of_tensor_by(seed)
-    powered = one_step**args.power
-    direct = p_of_tensor_by(tensor_power(seed, args.power))
+    tensor_by = IntegerRingMap(args.p, fusion_matrix(seed))
+    one_step = p_of_map(tensor_by)
+    powered = p_of_map(tensor_by**args.power)
+    direct = p_of_map(IntegerRingMap(args.p, fusion_matrix(tensor_power(seed, args.power))))
     result = {"seed": list(seed.coeffs), "power": args.power}
     lines = _matrix_lines(
         [

@@ -6,6 +6,11 @@ nonzero for all j then induces P(S), the column-stochastic matrix with j-th
 column Q(S(V_j)).  For maps of the form "tensor by w", P is multiplicative:
 P(w1 (x) -) P(w2 (x) -) = P((w1 (x) w2) (x) -); for general additive maps it
 is not, and ``p_of_map`` exists to expose that failure on explicit examples.
+
+For T = w (x) -, P(T) = D M_w D^-1 / dim(w) with M_w = ``fusion_matrix(w)`` and
+D = diag(1, ..., p), so P(T)^k = D M_w^k D^-1 / dim(w)^k: powers run on integers and
+``p_of_map`` makes them rational once.  The CLI compares M_w^k (matrix products) with M
+of ``tensor_power(w, k)`` (a vector squared through ``fuse``): independent computations.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modular_fusion import FusionVector, basis_vector, fuse, require_prime, tensor_power
+from .modular_fusion import FusionVector, fusion_matrix, require_prime, tensor_power
 
 
 class HypothesisViolationError(ValueError):
@@ -21,13 +26,11 @@ class HypothesisViolationError(ValueError):
 
 
 def _matmul(a, b) -> tuple[tuple, ...]:
-    """Rows of the exact product [a][b] of two p x p row-major matrices."""
-    if a.p != b.p:
-        raise ValueError(f"mismatched primes {a.p} and {b.p}")
-    columns = tuple(zip(*b.rows))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, column)) for column in columns) for row in a.rows
-    )
+    """Rows of the exact product [a][b] of two p x p matrices given as rows (p = len(rows))."""
+    if len(a) != len(b):
+        raise ValueError(f"mismatched primes {len(a)} and {len(b)}")
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, column)) for column in columns) for row in a)
 
 
 @dataclass(frozen=True)
@@ -61,42 +64,19 @@ class TransitionMatrix:
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
         if len(rows) != self.p or any(len(row) != self.p for row in rows):
             raise ValueError(f"expected a {self.p}x{self.p} matrix")
-        for j in range(self.p):
-            column = [rows[i][j] for i in range(self.p)]
+        for j, column in enumerate(zip(*rows)):
             if any(x < 0 for x in column):
                 raise ValueError(f"negative entry in column {j}")
             if sum(column) != 1:
                 raise ValueError(f"column {j} sums to {sum(column)}, not 1")
         object.__setattr__(self, "rows", rows)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][j] for i in range(self.p))
-
     def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        return TransitionMatrix(self.p, _matmul(self, other))
-
-    def __pow__(self, exponent: int) -> "TransitionMatrix":
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        result = identity_matrix(self.p)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result @ base
-            exponent >>= 1
-            if exponent:
-                base = base @ base
-        return result
+        return TransitionMatrix(self.p, _matmul(self.rows, other.rows))
 
     def apply(self, vector: RatioVector) -> RatioVector:
-        if self.p != vector.p:
-            raise ValueError(f"mismatched primes {self.p} and {vector.p}")
-        return RatioVector(
-            self.p,
-            tuple(
-                sum(row[j] * vector.entries[j] for j in range(self.p)) for row in self.rows
-            ),
-        )
+        product = _matmul(self.rows, [(x,) for x in vector.entries])
+        return RatioVector(self.p, tuple(x for (x,) in product))
 
 
 @dataclass(frozen=True)
@@ -124,13 +104,21 @@ class IntegerRingMap:
 
     def compose(self, other: "IntegerRingMap") -> "IntegerRingMap":
         """Matrix of self o other, i.e. the product [self][other]."""
-        return IntegerRingMap(self.p, _matmul(self, other))
+        return IntegerRingMap(self.p, _matmul(self.rows, other.rows))
 
-
-def identity_matrix(p: int) -> TransitionMatrix:
-    return TransitionMatrix(
-        p, tuple(tuple(Fraction(int(i == j)) for j in range(p)) for i in range(p))
-    )
+    def __pow__(self, exponent: int) -> "IntegerRingMap":
+        """[self]^exponent by repeated squaring on the integer rows."""
+        if exponent < 0:
+            raise ValueError(f"exponent must be non-negative, got {exponent}")
+        result = tuple(tuple(int(i == j) for j in range(self.p)) for i in range(self.p))
+        base = self.rows
+        while exponent:
+            if exponent & 1:
+                result = _matmul(result, base)
+            exponent >>= 1
+            if exponent:
+                base = _matmul(base, base)
+        return IntegerRingMap(self.p, result)
 
 
 def q_of(v: FusionVector) -> RatioVector:
@@ -144,16 +132,12 @@ def q_of(v: FusionVector) -> RatioVector:
 
 
 def p_of_map(s: IntegerRingMap) -> TransitionMatrix:
-    """Column-stochastic matrix with columns Q(S(V_j))."""
-    columns = []
-    for j in range(s.p):
-        image = s.column_vector(j)
-        if image.dimension == 0:
-            raise ValueError(f"column {j} of the ring map is zero")
-        columns.append(q_of(image).entries)
-    return TransitionMatrix(
-        s.p, tuple(tuple(columns[j][i] for j in range(s.p)) for i in range(s.p))
-    )
+    """Column-stochastic matrix with columns Q(S(V_j)): (i+1) [S]_ij / dim S(V_j) at (i, j)."""
+    dims = [sum((i + 1) * row[j] for i, row in enumerate(s.rows)) for j in range(s.p)]
+    if 0 in dims:
+        raise ValueError(f"column {dims.index(0)} of the ring map is zero")
+    scaled = [[Fraction((i + 1) * x, d) for x, d in zip(r, dims)] for i, r in enumerate(s.rows)]
+    return TransitionMatrix(s.p, tuple(map(tuple, scaled)))
 
 
 def p_of_tensor_by(w: FusionVector) -> TransitionMatrix:
@@ -165,8 +149,7 @@ def p_of_tensor_by(w: FusionVector) -> TransitionMatrix:
     """
     if w.dimension == 0:
         raise ValueError("cannot tensor by the zero element")
-    images = [fuse(w, basis_vector(w.p, j)).coeffs for j in range(w.p)]
-    return p_of_map(IntegerRingMap(w.p, tuple(zip(*images))))
+    return p_of_map(IntegerRingMap(w.p, fusion_matrix(w)))
 
 
 def decay_rate(w: FusionVector) -> Fraction:
@@ -179,11 +162,9 @@ def decay_rate(w: FusionVector) -> Fraction:
     falls at least geometrically with ratio decay_rate per p-1 steps, because
     projective mass never flows back: V_{p-1} (x) V_i = (i+1) V_{p-1}.
     """
-    block = tensor_power(w, w.p - 1)
-    matrix = p_of_tensor_by(block)
+    matrix = p_of_tensor_by(tensor_power(w, w.p - 1))
     worst = Fraction(0)
-    for j in range(w.p):
-        column = matrix.column(j)
+    for j, column in enumerate(zip(*matrix.rows)):
         if column[w.p - 1] == 0:
             raise HypothesisViolationError(
                 f"column {j} of P(w^(x){w.p - 1} (x) -) has no projective part"

@@ -48,11 +48,6 @@ class FusionVector:
     def dimension(self) -> int:
         return sum((i + 1) * c for i, c in enumerate(self.coeffs))
 
-    def __add__(self, other: "FusionVector") -> "FusionVector":
-        if self.p != other.p:
-            raise ValueError(f"mismatched primes {self.p} and {other.p}")
-        return FusionVector(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 def basis_vector(p: int, i: int) -> FusionVector:
     """The class of the single indecomposable V_i."""
@@ -119,23 +114,41 @@ def tensor_power(v: FusionVector, n: int) -> FusionVector:
     return result
 
 
+def fusion_matrix(w: FusionVector) -> tuple[tuple[int, ...], ...]:
+    """Rows of M_w, the integer matrix of "tensor by w": column j is w (x) V_j."""
+    return tuple(zip(*(fuse(w, basis_vector(w.p, j)).coeffs for j in range(w.p))))
+
+
 def ts(v: FusionVector) -> int:
     """Multiplicity of the trivial module V_0."""
     return v.coeffs[0]
 
 
 def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
-    """Trivial-summand counts of v^(x)(step*k) for k = 1..max_k."""
+    """Trivial-summand counts of v^(x)(step*k) for k = 1..max_k.
+
+    V_{p-1} (x) V_i = (i+1) V_{p-1} never feeds back into V_0, so only entries 0..p-2
+    are kept, sparse, and a column of M_block is built on first use, not all p of them.
+    """
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    block = tensor_power(v, step)
-    current = basis_vector(v.p, 0)
+    block = [(j, c) for j, c in enumerate(tensor_power(v, step).coeffs[: v.p - 1]) if c]
+    columns: dict[int, list[tuple[int, int]]] = {}
+    current = {0: 1}
     values = []
     for _ in range(max_k):
-        current = fuse(current, block)
-        values.append(ts(current))
+        following: dict[int, int] = {}
+        for i, a in current.items():
+            if i not in columns:
+                ladders = [(c, fuse_basis(v.p, i, j).coeffs) for j, c in block]
+                column = (sum(c * ladder[k] for c, ladder in ladders) for k in range(v.p - 1))
+                columns[i] = [(k, m) for k, m in enumerate(column) if m]
+            for k, m in columns[i]:
+                following[k] = following.get(k, 0) + a * m
+        current = following
+        values.append(current.get(0, 0))
     return GrowthSeries(step=step, values=tuple(values), dim_v=v.dimension)
 
 

@@ -131,6 +131,21 @@ def test_first_power_containing_z3_and_not_found():
     assert first_power_containing(z3, chi1, 0, 2) is None
 
 
+def test_first_power_decomposes_once_then_reads_only_the_target(monkeypatch):
+    s4 = builtin_table("s4")
+    std, sign = s4.irrep_index("std"), s4.irrep_index("sign")
+    calls = []
+    original = char_table.inner_product
+    monkeypatch.setattr(
+        char_table, "inner_product", lambda *args: calls.append(1) or original(*args)
+    )
+    d = first_power_containing(s4, s4.irreps[std], sign, s4.group_order)
+    assert d == 3 and len(calls) == len(s4.irreps) + d - 1
+    not_a_character = ClassFunction((3, 1, -1, 0, 2))  # faithful; (f, triv) = 3/4
+    with pytest.raises(InvalidCharacterError):
+        first_power_containing(s4, not_a_character, sign, s4.group_order)
+
+
 def test_first_power_bounded_by_group_order():
     for name in BUILTINS:
         table = builtin_table(name)

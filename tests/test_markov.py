@@ -12,12 +12,17 @@ from repgrowth.markov import (
     RatioVector,
     TransitionMatrix,
     decay_rate,
-    identity_matrix,
     p_of_map,
     p_of_tensor_by,
     q_of,
 )
-from repgrowth.modular_fusion import FusionVector, basis_vector, fuse, tensor_power
+from repgrowth.modular_fusion import (
+    FusionVector,
+    basis_vector,
+    fuse,
+    fusion_matrix,
+    tensor_power,
+)
 
 F = Fraction
 
@@ -67,13 +72,13 @@ def test_p_of_tensor_by_frozen_p3():
         (1, 0, 0),
         (0, F(3, 4), 1),
     )
-    squared = matrix**2
+    squared = matrix @ matrix
     assert squared.rows == (
         (F(1, 4), 0, 0),
         (0, F(1, 4), 0),
         (F(3, 4), F(3, 4), 1),
     )
-    assert p_of_tensor_by(basis_vector(3, 0)) == identity_matrix(3)
+    assert p_of_tensor_by(basis_vector(3, 0)).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_p_of_map_example_is_not_multiplicative():
@@ -109,14 +114,15 @@ def test_p_of_tensor_by_is_conjugated_integer_matrix(w):
     # P agrees with D [S] D^{-1} / dim(w), where [S] is the integer fusion
     # matrix of "tensor by w" and D = diag(1, 2, ..., p).
     p = w.p
-    fusion_matrix = [
-        [fuse(w, basis_vector(p, j)).coeffs[i] for j in range(p)] for i in range(p)
-    ]
+    integer_rows = tuple(
+        tuple(fuse(w, basis_vector(p, j)).coeffs[i] for j in range(p)) for i in range(p)
+    )
+    assert fusion_matrix(w) == integer_rows
     dim = w.dimension
     expected = TransitionMatrix(
         p,
         tuple(
-            tuple(F((i + 1) * fusion_matrix[i][j], (j + 1) * dim) for j in range(p))
+            tuple(F((i + 1) * integer_rows[i][j], (j + 1) * dim) for j in range(p))
             for i in range(p)
         ),
     )
@@ -131,7 +137,7 @@ def test_matrix_power_tracks_tensor_power(w):
     for n in range(1, 6):
         state = matrix.apply(state)
         assert state == q_of(tensor_power(w, n))
-    assert (matrix**3).apply(e1) == q_of(tensor_power(w, 3))
+    assert (matrix @ matrix @ matrix).apply(e1) == q_of(tensor_power(w, 3))
 
 
 def test_decay_rate_frozen_values():
@@ -170,3 +176,20 @@ def test_integer_ring_map_validates():
         IntegerRingMap(2, ((1, 0),))
     s = IntegerRingMap(2, ((2, 1), (0, 1)))
     assert s.column_vector(1) == FusionVector(2, (1, 1))
+    assert (s**0).rows == ((1, 0), (0, 1))
+    assert (s**3).rows == s.compose(s).compose(s).rows == ((8, 7), (0, 1))
+    with pytest.raises(ValueError):
+        s**-1
+
+
+@given(nonzero_fusion_strategy(primes=(2, 3, 5, 7)), st.integers(1, 6))
+def test_integer_power_matches_tensor_power_and_fraction_product(w, k):
+    # M_w^k by integer squaring against M of the vector-squared w^(x)k, and
+    # P(M_w^k) against the k-fold product of the Fraction matrix P(T).
+    power = IntegerRingMap(w.p, fusion_matrix(w)) ** k
+    assert power == IntegerRingMap(w.p, fusion_matrix(tensor_power(w, k)))
+    one_step = p_of_tensor_by(w)
+    product = one_step
+    for _ in range(k - 1):
+        product = product @ one_step
+    assert p_of_map(power) == product

@@ -147,6 +147,32 @@ def test_ts_series_modular_frozen():
         ts_series_modular(basis_vector(3, 1), 0, 3)
 
 
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+        lambda p: st.lists(st.integers(0, 3), min_size=p, max_size=p).filter(any)
+    ),
+    st.integers(1, 3),
+    st.integers(1, 8),
+)
+def test_ts_series_modular_matches_fuse_loop(coeffs, step, max_k):
+    v = FusionVector(len(coeffs), tuple(coeffs))
+    block = tensor_power(v, step)
+    current = basis_vector(v.p, 0)
+    expected = []
+    for _ in range(max_k):
+        current = fuse(current, block)
+        expected.append(current.coeffs[0])
+    series = ts_series_modular(v, step, max_k)
+    assert series.values == tuple(expected)
+    assert (series.step, series.dim_v) == (step, v.dimension)
+
+
+def test_ts_series_modular_builds_only_reachable_columns():
+    fuse_basis.cache_clear()
+    ts_series_modular(basis_vector(2003, 1), 1, 20)
+    assert fuse_basis.cache_info().misses <= 100
+
+
 def test_ts_series_matches_tensor_power():
     for p, step in ((3, 2), (5, 2), (2, 1)):
         v = basis_vector(p, 1)

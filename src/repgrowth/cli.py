@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 computation-level failure (an oracle disagreement or
 a failed identity check), 2 usage or input errors.  Output is deterministic:
 floats are printed with 12 significant digits, rationals exactly.  Input that
 the library rejects raises ValueError there and exits 2 here; the handlers
-check only the rules that exist on the command line alone.
+check only the rules that exist on the command line alone.  The ``--json``
+params are the parsed arguments, except for ``torus`` and ``markov --example``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .char_table import (
     regular_tensor_check,
     tensor_power_char,
 )
-from .growth import estimate, nth_root_sequence
+from .growth import estimate
 from .markov import (
     HypothesisViolationError,
     IntegerRingMap,
@@ -56,12 +57,11 @@ class UsageError(ValueError):
 
 @dataclass
 class CommandResult:
-    command: str
-    params: dict
     result: dict
     lines: list[str]
     csv_rows: list[list[object]] | None = None
     exit_code: int = 0
+    params: dict | None = None  # JSON params, where they differ from the parsed arguments
 
 
 def _fmt_float(x: float) -> str:
@@ -137,84 +137,49 @@ def _cmd_pieri(args) -> CommandResult:
     else:
         items = list(d.mults.items())
     return CommandResult(
-        command="pieri",
-        params={"m": args.m, "n": args.n, "canonical": bool(args.canonical)},
-        result={"mults": {str(lam): mult for lam, mult in items}},
-        lines=[f"{lam}: {mult}" for lam, mult in items],
-        csv_rows=[["partition", "multiplicity"]]
-        + [[str(lam), mult] for lam, mult in items],
+        {"mults": {str(lam): mult for lam, mult in items}},
+        [f"{lam}: {mult}" for lam, mult in items],
+        [["partition", "multiplicity"]] + [[str(lam), mult] for lam, mult in items],
     )
 
 
 def _cmd_ts(args) -> CommandResult:
     if args.mode == "sl":
         series = ts_series_sl(args.m, args.max)
-        params = {"mode": "sl", "m": args.m, "max": args.max}
     else:
         series = ts_series_modular(_parse_seed(args.p, args.seed), args.step, args.max)
-        params = {
-            "mode": "modular",
-            "p": args.p,
-            "seed": args.seed,
-            "step": args.step,
-            "max": args.max,
-        }
-    roots = nth_root_sequence(series)
     est = estimate(series)
     rows = [
         [k, series.step * k, a, _fmt_float(r)]
-        for k, (a, r) in enumerate(zip(series.values, roots), start=1)
+        for k, (a, r) in enumerate(zip(series.values, est.roots), start=1)
     ]
     lines = [f"k={k} n={n} ts={a} root={r}" for k, n, a, r in rows]
     fekete = "true" if est.fekete_ok else "false"
     lines.append(
         f"lower={_fmt_float(est.lower)} upper={_fmt_float(est.upper)} fekete_ok={fekete}"
     )
-    return CommandResult(
-        command="ts",
-        params=params,
-        result={
-            "step": series.step,
-            "dim_v": series.dim_v,
-            "values": list(series.values),
-            "nth_roots": roots,
-            "estimate": {
-                "lower": est.lower,
-                "upper": est.upper,
-                "fekete_ok": est.fekete_ok,
-            },
-        },
-        lines=lines,
-        csv_rows=[["k", "n", "ts", "nth_root"]] + rows,
-    )
+    result = {
+        "step": series.step,
+        "dim_v": series.dim_v,
+        "values": list(series.values),
+        "nth_roots": list(est.roots),
+        "estimate": {"lower": est.lower, "upper": est.upper, "fekete_ok": est.fekete_ok},
+    }
+    return CommandResult(result, lines, [["k", "n", "ts", "nth_root"]] + rows)
 
 
 def _cmd_fusion(args) -> CommandResult:
     closed = fuse_basis(args.p, args.m, args.n)
     display = _fusion_display(args.p, args.m, args.n, closed)
-    lines = [display]
-    result = {
-        "decomposition": list(closed.coeffs),
-        "display": display,
-    }
-    exit_code = 0
-    if args.oracle:
-        oracle = jordan_oracle(args.p, args.m, args.n)
-        agree = oracle == closed
-        result["oracle"] = list(oracle.coeffs)
-        result["agree"] = agree
-        if agree:
-            lines = [f"{display} | AGREE"]
-        else:
-            lines = [f"{display} != {_ladder_str(enumerate(oracle.coeffs))} | DISAGREE"]
-            exit_code = 1
-    return CommandResult(
-        command="fusion",
-        params={"p": args.p, "m": args.m, "n": args.n, "oracle": bool(args.oracle)},
-        result=result,
-        lines=lines,
-        exit_code=exit_code,
-    )
+    result = {"decomposition": list(closed.coeffs), "display": display}
+    if not args.oracle:
+        return CommandResult(result, [display])
+    oracle = jordan_oracle(args.p, args.m, args.n)
+    result.update(oracle=list(oracle.coeffs), agree=oracle == closed)
+    if oracle == closed:
+        return CommandResult(result, [f"{display} | AGREE"])
+    disagree = f"{display} != {_ladder_str(enumerate(oracle.coeffs))} | DISAGREE"
+    return CommandResult(result, [disagree], exit_code=1)
 
 
 def _cmd_markov(args) -> CommandResult:
@@ -244,13 +209,8 @@ def _cmd_markov(args) -> CommandResult:
             lines.append("unexpected: P(S^2) == P(S)^2")
         else:
             lines.append("P(S^2) != P(S)^2: P is not multiplicative for this map")
-        return CommandResult(
-            command="markov",
-            params={"p": 2, "example": True},
-            result=result,
-            lines=lines,
-            exit_code=1 if multiplicative else 0,
-        )
+        example = {"p": 2, "example": True}
+        return CommandResult(result, lines, exit_code=1 if multiplicative else 0, params=example)
     if args.seed is None:
         raise UsageError("need --seed V... or --example")
     if args.power < 1:
@@ -279,13 +239,7 @@ def _cmd_markov(args) -> CommandResult:
     except HypothesisViolationError as exc:
         lines.append(f"decay_rate: unavailable ({exc})")
         result["decay_rate"] = None
-    return CommandResult(
-        command="markov",
-        params={"p": args.p, "seed": args.seed, "power": args.power, "example": False},
-        result=result,
-        lines=lines,
-        exit_code=0 if multiplicative else 1,
-    )
+    return CommandResult(result, lines, exit_code=0 if multiplicative else 1)
 
 
 def _cmd_torus(args) -> CommandResult:
@@ -295,12 +249,8 @@ def _cmd_torus(args) -> CommandResult:
         if args.m is None or args.m < 1:
             raise UsageError("--diagonal needs --m with m >= 1")
         count = diagonal_zero_count(args.m, args.n)
-        return CommandResult(
-            command="torus",
-            params={"diagonal": True, "m": args.m, "n": args.n},
-            result={"count": count},
-            lines=[f"count = {count}"],
-        )
+        params = {"diagonal": True, "m": args.m, "n": args.n}
+        return CommandResult({"count": count}, [f"count = {count}"], params=params)
     if args.weights is None:
         raise UsageError("need --weights k1,k2,... or --diagonal")
     try:
@@ -310,58 +260,38 @@ def _cmd_torus(args) -> CommandResult:
     count = zero_weight_count(weights, args.n)
     probability = Fraction(count, len(weights) ** args.n)
     lines = [f"count = {count}", f"probability = {probability}"]
-    result = {
-        "count": count,
-        "probability": str(probability),
-    }
+    result = {"count": count, "probability": str(probability)}
     try:
         bound = bernstein_zero_bound(weights, args.n)
-        lines.append(
-            f"bound = {_fmt_float(bound.value)} "
-            f"(t={bound.inputs.t}, v={bound.inputs.v}, b={bound.inputs.b})"
-        )
-        result["bound"] = bound.value
-        result["bound_inputs"] = {
-            "t": str(bound.inputs.t),
-            "v": str(bound.inputs.v),
-            "b": str(bound.inputs.b),
-        }
+        inputs = {name: str(getattr(bound.inputs, name)) for name in ("t", "v", "b")}
+        shown = ", ".join(f"{name}={value}" for name, value in inputs.items())
+        lines.append(f"bound = {_fmt_float(bound.value)} ({shown})")
+        result.update(bound=bound.value, bound_inputs=inputs)
     except InapplicableBoundError as exc:
         lines.append(f"bound: unavailable ({exc})")
         result["bound"] = None
-    return CommandResult(
-        command="torus",
-        params={"diagonal": False, "weights": list(weights), "n": args.n},
-        result=result,
-        lines=lines,
-    )
+    params = {"diagonal": False, "weights": list(weights), "n": args.n}
+    return CommandResult(result, lines, params=params)
 
 
 def _cmd_chartab(args) -> CommandResult:
     table = load_table_file(args.table)
     index = table.irrep_index(args.irrep)
     chi = table.irreps[index]
-    params = {"table": args.table, "action": args.action, "irrep": args.irrep}
     if args.action == "decompose":
         mults = decompose(table, tensor_power_char(chi, args.power))
-        params["power"] = args.power
         return CommandResult(
-            command="chartab",
-            params=params,
-            result={"mults": dict(zip(table.irrep_names, mults))},
-            lines=[f"{name}: {m}" for name, m in zip(table.irrep_names, mults)],
+            {"mults": dict(zip(table.irrep_names, mults))},
+            [f"{name}: {m}" for name, m in zip(table.irrep_names, mults)],
         )
     if args.action == "first-power":
         target = table.irrep_index(args.target)
-        max_d = table.group_order if args.max is None else args.max
-        d = first_power_containing(table, chi, target, max_d)
-        params.update({"target": args.target, "max": max_d})
-        lines = [f"d = {d}"] if d is not None else [
-            f"no power up to {max_d} contains {args.target}"
-        ]
-        return CommandResult(
-            command="chartab", params=params, result={"d": d}, lines=lines
-        )
+        if args.max is None:
+            args.max = table.group_order
+        d = first_power_containing(table, chi, target, args.max)
+        if d is None:
+            return CommandResult({"d": d}, [f"no power up to {args.max} contains {args.target}"])
+        return CommandResult({"d": d}, [f"d = {d}"])
     if args.action == "regular-check":
         ok = regular_tensor_check(table, chi)
         degree = table.degree(index)
@@ -370,28 +300,13 @@ def _cmd_chartab(args) -> CommandResult:
             if ok
             else [f"FAIL: {args.irrep} (x) Regular != {degree} * Regular"]
         )
-        return CommandResult(
-            command="chartab",
-            params=params,
-            result={"ok": ok, "degree": degree},
-            lines=lines,
-            exit_code=0 if ok else 1,
-        )
+        return CommandResult({"ok": ok, "degree": degree}, lines, exit_code=0 if ok else 1)
     # min-regular
-    params["max"] = args.max
     try:
         n = min_power_containing_regular(table, chi, args.max)
     except (LookupError, ArithmeticError) as exc:
-        return CommandResult(
-            command="chartab",
-            params=params,
-            result={"n": None},
-            lines=[str(exc)],
-            exit_code=1,
-        )
-    return CommandResult(
-        command="chartab", params=params, result={"n": n}, lines=[f"N = {n}"]
-    )
+        return CommandResult({"n": None}, [str(exc)], exit_code=1)
+    return CommandResult({"n": n}, [f"N = {n}"])
 
 
 # --- parser and dispatch ---------------------------------------------------
@@ -421,19 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
     pieri.set_defaults(handler=_cmd_pieri)
 
     ts = sub.add_parser("ts", help="trivial-summand growth series")
+    ts.set_defaults(handler=_cmd_ts)
     ts_modes = ts.add_subparsers(dest="mode", required=True)
     ts_sl = ts_modes.add_parser("sl", help="SL_m on its natural module")
     ts_sl.add_argument("--m", type=int, required=True)
     ts_sl.add_argument("--max", type=int, required=True, help="number of terms")
     _output_flags(ts_sl, with_csv=True)
-    ts_sl.set_defaults(handler=_cmd_ts)
     ts_mod = ts_modes.add_parser("modular", help="Z/pZ in characteristic p")
     ts_mod.add_argument("--p", type=int, required=True)
     ts_mod.add_argument("--seed", required=True, help="e.g. V1 or V0+2*V2")
     ts_mod.add_argument("--step", type=int, default=1)
     ts_mod.add_argument("--max", type=int, required=True, help="number of terms")
     _output_flags(ts_mod, with_csv=True)
-    ts_mod.set_defaults(handler=_cmd_ts)
 
     fusion = sub.add_parser("fusion", help="decompose V_m (x) V_n over Z/pZ, char p")
     fusion.add_argument("--p", type=int, required=True)
@@ -473,42 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     chartab = sub.add_parser("chartab", help="finite-group character table queries")
     chartab.add_argument("table", help="path to a character table file")
+    chartab.set_defaults(handler=_cmd_chartab)
     actions = chartab.add_subparsers(dest="action", required=True)
-    dec = actions.add_parser("decompose", help="decompose a tensor power of an irrep")
-    dec.add_argument("--irrep", required=True)
-    dec.add_argument("--power", type=int, default=1)
-    _output_flags(dec)
-    dec.set_defaults(handler=_cmd_chartab)
-    fp = actions.add_parser("first-power", help="least d with target inside irrep**d")
-    fp.add_argument("--irrep", required=True)
-    fp.add_argument("--target", required=True)
-    fp.add_argument("--max", type=int, help="search cap (default: group order)")
-    _output_flags(fp)
-    fp.set_defaults(handler=_cmd_chartab)
-    rc = actions.add_parser("regular-check", help="verify V (x) Regular = deg * Regular")
-    rc.add_argument("--irrep", required=True)
-    _output_flags(rc)
-    rc.set_defaults(handler=_cmd_chartab)
-    mr = actions.add_parser("min-regular", help="least N with Regular inside (1+V)**N")
-    mr.add_argument("--irrep", required=True)
-    mr.add_argument("--max", type=int, help="search cap (default: group order)")
-    _output_flags(mr)
-    mr.set_defaults(handler=_cmd_chartab)
+    power = ("--power", {"type": int, "default": 1})
+    target = ("--target", {"required": True})
+    cap = ("--max", {"type": int, "help": "search cap (default: group order)"})
+    for name, help_text, extra in (
+        ("decompose", "decompose a tensor power of an irrep", [power]),
+        ("first-power", "least d with target inside irrep**d", [target, cap]),
+        ("regular-check", "verify V (x) Regular = deg * Regular", []),
+        ("min-regular", "least N with Regular inside (1+V)**N", [cap]),
+    ):
+        action = actions.add_parser(name, help=help_text)
+        action.add_argument("--irrep", required=True)
+        for flag, options in extra:
+            action.add_argument(flag, **options)
+        _output_flags(action)
 
     return parser
 
 
+# Namespace entries that are not parameters; the rest print in the order build_parser adds them.
+_NOT_PARAMS = ("command", "handler", "json", "csv")
+
+
 def _render(result: CommandResult, args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
-        print(
-            json.dumps(
-                {
-                    "command": result.command,
-                    "params": result.params,
-                    "result": result.result,
-                }
-            )
-        )
+    if args.json:
+        params = result.params
+        if params is None:
+            params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        print(json.dumps({"command": args.command, "params": params, "result": result.result}))
     elif getattr(args, "csv", False) and result.csv_rows is not None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(result.csv_rows)

@@ -39,6 +39,7 @@ class GrowthEstimate:
     lower: float
     upper: float
     fekete_ok: bool
+    roots: tuple[float, ...]
 
 
 def nth_root_sequence(series: GrowthSeries) -> list[float]:
@@ -69,12 +70,14 @@ def estimate(series: GrowthSeries) -> GrowthEstimate:
 
     Lower bound: the best observed root (valid when the sequence is
     supermultiplicative, which ``fekete_ok`` reports).  Upper bound: dim_v,
-    since a_k <= dim_v**(step*k) always.
+    since a_k <= dim_v**(step*k) always.  ``roots`` holds every observed root.
     """
     if not series.values:
         raise ValueError("cannot estimate growth from an empty series")
+    roots = tuple(nth_root_sequence(series))
     return GrowthEstimate(
-        lower=max(nth_root_sequence(series)),
+        lower=max(roots),
         upper=float(series.dim_v),
         fekete_ok=fekete_check(series),
+        roots=roots,
     )

@@ -207,6 +207,12 @@ def test_min_regular_failures_exit_1(capsys, monkeypatch, s3_file):
     argv = ["chartab", s3_file, "min-regular", "--irrep", "std"]
     code, out, _ = run(argv + ["--max", "1"], capsys)
     assert (code, out) == (1, "no power up to 1 contains the regular character\n")
+    code, out, _ = run(argv + ["--max", "1", "--json"], capsys)
+    assert code == 1
+    assert out == (
+        '{"command": "chartab", "params": {"table": "%s", "action": "min-regular", '
+        '"irrep": "std", "max": 1}, "result": {"n": null}}\n' % s3_file
+    )
     # Containment at N = 1 that fails at N = 2 is a failed check, not a crash.
     calls = []
 
@@ -264,9 +270,27 @@ def test_malformed_table_reports_line(capsys, tmp_path):
         assert line in captured.err, text
 
 
-def test_help_exits_zero(capsys):
-    assert cli.main(["--help"]) == 0
-    capsys.readouterr()
+HELP_COMMANDS = [
+    [],
+    ["pieri"],
+    ["ts"],
+    ["ts", "sl"],
+    ["ts", "modular"],
+    ["fusion"],
+    ["markov"],
+    ["torus"],
+    ["chartab"],
+    ["chartab", "TABLE", "decompose"],
+    ["chartab", "TABLE", "first-power"],
+    ["chartab", "TABLE", "regular-check"],
+    ["chartab", "TABLE", "min-regular"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_COMMANDS, ids=[" ".join(a) or "top" for a in HELP_COMMANDS])
+def test_help_exits_zero(argv, capsys):
+    assert cli.main(argv + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: repgrowth")
 
 
 def test_documented_commands_are_deterministic(capsys, s3_file):
@@ -298,11 +322,16 @@ def test_documented_commands_are_deterministic(capsys, s3_file):
 
 
 # Frozen stdout of the documented commands; every one exits 0.  TABLE stands
-# for the s3 table file.
+# for the s3 table file, in argv and in the expected output.
 GOLDEN = [
     (["pieri", "--m", "2", "--n", "4"], "(4): 1\n(3,1): 3\n(2,2): 2\n"),
     (["pieri", "--m", "2", "--n", "0"], "(): 1\n"),
     (["pieri", "--m", "2", "--n", "4", "--canonical"], "(4): 1\n(2): 3\n(): 2\n"),
+    (
+        ["pieri", "--m", "2", "--n", "4", "--canonical", "--json"],
+        '{"command": "pieri", "params": {"m": 2, "n": 4, "canonical": true}, '
+        '"result": {"mults": {"(4)": 1, "(2)": 3, "()": 2}}}\n',
+    ),
     (
         ["pieri", "--m", "3", "--n", "6", "--csv"],
         'partition,multiplicity\n(6),1\n"(5,1)",5\n"(4,2)",9\n"(4,1,1)",10\n'
@@ -356,6 +385,13 @@ GOLDEN = [
         ["ts", "modular", "--p", "3", "--seed", "V0+2*V1", "--step", "2", "--max", "3", "--csv"],
         "k,n,ts,nth_root\n1,2,5,2.2360679775\n2,4,41,2.53043953444\n"
         "3,6,365,2.67330684711\n",
+    ),
+    (
+        ["ts", "modular", "--p", "3", "--seed", "V0+2*V1", "--step", "2", "--max", "3", "--json"],
+        '{"command": "ts", "params": {"mode": "modular", "p": 3, "seed": "V0+2*V1", '
+        '"step": 2, "max": 3}, "result": {"step": 2, "dim_v": 5, "values": [5, 41, 365], '
+        '"nth_roots": [2.23606797749979, 2.530439534435243, 2.6733068471118355], '
+        '"estimate": {"lower": 2.6733068471118355, "upper": 5.0, "fekete_ok": true}}}\n',
     ),
     (["fusion", "--p", "3", "1", "1"], "V0 + V2\n"),
     (["fusion", "--p", "5", "3", "3", "--oracle"], "3*V4 + V0 | AGREE\n"),
@@ -456,6 +492,26 @@ GOLDEN = [
         "OK: std (x) Regular = 2 * Regular, TS=2\n",
     ),
     (["chartab", "TABLE", "min-regular", "--irrep", "std"], "N = 2\n"),
+    (
+        ["chartab", "TABLE", "decompose", "--irrep", "std", "--power", "2", "--json"],
+        '{"command": "chartab", "params": {"table": "TABLE", "action": "decompose", '
+        '"irrep": "std", "power": 2}, "result": {"mults": {"triv": 1, "sign": 1, "std": 1}}}\n',
+    ),
+    (
+        ["chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign", "--json"],
+        '{"command": "chartab", "params": {"table": "TABLE", "action": "first-power", '
+        '"irrep": "std", "target": "sign", "max": 6}, "result": {"d": 2}}\n',
+    ),
+    (
+        ["chartab", "TABLE", "regular-check", "--irrep", "std", "--json"],
+        '{"command": "chartab", "params": {"table": "TABLE", "action": "regular-check", '
+        '"irrep": "std"}, "result": {"ok": true, "degree": 2}}\n',
+    ),
+    (
+        ["chartab", "TABLE", "min-regular", "--irrep", "std", "--json"],
+        '{"command": "chartab", "params": {"table": "TABLE", "action": "min-regular", '
+        '"irrep": "std", "max": null}, "result": {"n": 2}}\n',
+    ),
 ]
 
 
@@ -463,4 +519,4 @@ GOLDEN = [
 def test_golden_stdout(argv, expected, capsys, s3_file):
     argv = [s3_file if token == "TABLE" else token for token in argv]
     code, out, _ = run(argv, capsys)
-    assert (code, out) == (0, expected)
+    assert (code, out) == (0, expected.replace("TABLE", s3_file))

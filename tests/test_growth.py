@@ -53,6 +53,7 @@ def test_estimate_brackets_catalan_growth():
     assert result.upper == 2.0
     assert result.lower == pytest.approx(208012 ** (1 / 24), rel=1e-12)
     assert 1.66 <= result.lower < 2.0
+    assert result.roots == tuple(nth_root_sequence(series))
     with pytest.raises(ValueError):
         estimate(GrowthSeries(step=1, values=(), dim_v=2))
 

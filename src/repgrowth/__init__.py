@@ -64,14 +64,12 @@ from .pieri import (
     Decomposition,
     MeanMassReport,
     mean_mass_report,
-    pieri_step,
     tensor_power_decomposition,
     trivial_multiplicity,
     ts_series_sl,
 )
 from .torus import (
     BernsteinBound,
-    BernsteinInput,
     InapplicableBoundError,
     bernstein_zero_bound,
     diagonal_zero_count,
@@ -83,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernsteinBound",
-    "BernsteinInput",
     "CharacterTable",
     "ClassFunction",
     "Decomposition",
@@ -129,7 +126,6 @@ __all__ = [
     "nth_root_sequence",
     "p_of_map",
     "p_of_tensor_by",
-    "pieri_step",
     "q_of",
     "regular_character",
     "regular_tensor_check",

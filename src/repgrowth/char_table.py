@@ -367,7 +367,7 @@ def _table(order: int, sizes: tuple[int, ...], rows: dict[str, tuple]) -> Charac
 
 
 def builtin_table(name: str) -> CharacterTable:
-    """Tables shipped for tests and CLI demos: z2, z3, z4, s3, s4, d4."""
+    """Tables shipped with the library, for tests and callers: z2, z3, z4, s3, s4, d4."""
     key = name.lower()
     if key == "z2":
         return _table(2, (1, 1), {"triv": (1, 1), "sign": (1, -1)})

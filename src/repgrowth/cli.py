@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computation-level failure (an oracle disagreement or
-a failed identity check), 2 usage or input errors.  Output is deterministic:
-floats are printed with 12 significant digits, rationals exactly.  Input that
-the library rejects raises ValueError there and exits 2 here; the handlers
-check only the rules that exist on the command line alone.  The ``--json``
-params are the parsed arguments, except for ``torus`` and ``markov --example``.
+a failed identity check), 2 usage or input errors, 3 any other error (one
+``error:`` line naming the exception type, no traceback).  Output is
+deterministic: floats are printed with 12 significant digits, rationals
+exactly.  Input that the library rejects raises ValueError there and exits 2
+here; the handlers check only the rules that exist on the command line alone.
+The ``--json`` params are the parsed arguments, except for ``torus`` and
+``markov --example``.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def _cmd_torus(args) -> CommandResult:
     result = {"count": count, "probability": str(probability)}
     try:
         bound = bernstein_zero_bound(weights, args.n)
-        inputs = {name: str(getattr(bound.inputs, name)) for name in ("t", "v", "b")}
+        inputs = {name: str(getattr(bound, name)) for name in ("t", "v", "b")}
         shown = ", ".join(f"{name}={value}" for name, value in inputs.items())
         lines.append(f"bound = {_fmt_float(bound.value)} ({shown})")
         result.update(bound=bound.value, bound_inputs=inputs)
@@ -439,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     _render(result, args)
     return result.exit_code
 

@@ -60,26 +60,19 @@ def basis_vector(p: int, i: int) -> FusionVector:
 def fuse_basis(p: int, m: int, n: int) -> FusionVector:
     """Decompose V_m (x) V_n over Z/pZ in characteristic p.
 
-    When m + n <= p - 1 the answer is the characteristic-zero Clebsch-Gordan
-    ladder V_|m-n| + V_|m-n|+2 + ... + V_{m+n}.  Otherwise d = m + n - (p - 2)
-    copies of the projective V_{p-1} split off and the remainder is
-    V_{m-d} (x) V_{n-d} (zero when an index goes negative); that remainder is
-    back in the first case, so the recursion terminates after one step.
+    d = max(0, m + n - (p - 2)) copies of the projective V_{p-1} split off, and
+    the rest is the Clebsch-Gordan ladder V_|m-n| + V_|m-n|+2 + ... + V_{m+n-2d},
+    empty when min(m, n) < d.  At m + n = p - 1 the one projective is the top
+    term of the characteristic-zero ladder V_|m-n| + ... + V_{m+n}.
     """
     require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
+    d = max(0, m + n - (p - 2))
     coeffs = [0] * p
-    lo, hi = sorted((m, n))
-    if m + n <= p - 1:
-        for j in range(hi - lo, hi + lo + 1, 2):
-            coeffs[j] = 1
-    else:
-        d = m + n - (p - 2)
-        coeffs[p - 1] = d
-        if m - d >= 0 and n - d >= 0:
-            for j, c in enumerate(fuse_basis(p, m - d, n - d).coeffs):
-                coeffs[j] += c
+    coeffs[p - 1] = d
+    for j in range(abs(m - n), m + n - 2 * d + 1, 2):
+        coeffs[j] = 1
     return FusionVector(p, tuple(coeffs))
 
 

@@ -70,13 +70,6 @@ class SlWeight:
                 f"{self.canonical.parts} is not canonical: last part must be 0"
             )
 
-    @property
-    def m(self) -> int:
-        return self.canonical.m
-
-    def __str__(self) -> str:
-        return str(self.canonical)
-
 
 @dataclass(frozen=True)
 class DualWeightResult:

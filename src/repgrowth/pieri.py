@@ -79,12 +79,6 @@ def tensor_power_decomposition(m: int, n: int) -> Decomposition:
     return Decomposition(m, n, {Partition(p, m): c for p, c in states.items()})
 
 
-def pieri_step(d: Decomposition) -> Decomposition:
-    """Tensor a decomposition with V: add one box in every admissible row."""
-    states = _add_box({lam.parts: mult for lam, mult in d.mults.items()})
-    return Decomposition(d.m, d.n + 1, {Partition(p, d.m): c for p, c in states.items()})
-
-
 def _add_box(states: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """One Pieri step on padded part tuples, which are trusted to be partitions."""
     out: dict[tuple[int, ...], int] = {}

@@ -20,22 +20,17 @@ class InapplicableBoundError(ValueError):
 
 
 @dataclass(frozen=True)
-class BernsteinInput:
-    """Exact rational parameters fed into the Bernstein tail bound.
+class BernsteinBound:
+    """The Bernstein tail bound and the exact rational parameters fed into it.
 
     t: threshold n*sum(k)/(m+1); v: variance proxy n*E[(mean - k_i)**2];
     b: almost-sure bound max_i(mean - k_i), where mean = sum(k)/m.
     """
 
+    value: float
     t: Fraction
     v: Fraction
     b: Fraction
-
-
-@dataclass(frozen=True)
-class BernsteinBound:
-    value: float
-    inputs: BernsteinInput
 
 
 def _clean_weights(weights) -> tuple[int, ...]:
@@ -98,8 +93,10 @@ def bernstein_zero_bound(weights, n: int) -> BernsteinBound:
         # identically zero, so the tail probability is 0 for t > 0.
         value = 1.0 if t == 0 else 0.0
     else:
-        value = exp(-float(t * t / denominator))
-    return BernsteinBound(value, BernsteinInput(t, v, b))
+        # exp underflows to 0.0 beyond about 745, so capping the exponent at 1000
+        # changes no value and keeps float() of a huge rational from overflowing.
+        value = exp(-float(min(t * t / denominator, 1000)))
+    return BernsteinBound(value, t, v, b)
 
 
 def diagonal_zero_count(m: int, n: int) -> int:

@@ -247,12 +247,25 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         ["pieri", "--m", "2", "--n", "-1"],
         ["markov", "--p", "3", "--seed", "V1", "--power", "0"],
         ["chartab", s3_file, "min-regular", "--irrep", "std", "--max", "0"],
+        ["markov", "--p", "2", "--example", "--seed", "V1"],
+        ["torus", "--diagonal", "--weights", "2,-1", "--m", "2", "--n", "1"],
+        ["torus", "--diagonal", "--n", "2"],
+        ["ts", "modular", "--p", "3", "--seed", "0*V1", "--max", "2"],
     ]
     for argv in cases:
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err, argv
+
+
+def test_unexpected_errors_exit_3_without_traceback(capsys):
+    # A dimension of 10**400 is a valid seed, but the growth estimate cannot
+    # bracket it as a float.
+    argv = ["ts", "modular", "--p", "3", "--seed", f"{10**400}*V1", "--max", "1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: OverflowError: int too large to convert to float\n"
 
 
 def test_malformed_table_reports_line(capsys, tmp_path):
@@ -487,6 +500,10 @@ GOLDEN = [
         "triv: 1\nsign: 1\nstd: 1\n",
     ),
     (["chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign"], "d = 2\n"),
+    (
+        ["chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign", "--max", "1"],
+        "no power up to 1 contains sign\n",
+    ),
     (
         ["chartab", "TABLE", "regular-check", "--irrep", "std"],
         "OK: std (x) Regular = 2 * Regular, TS=2\n",

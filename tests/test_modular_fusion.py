@@ -16,8 +16,6 @@ from repgrowth.modular_fusion import (
     ts_series_modular,
 )
 
-PRIMES = (2, 3, 5, 7)
-
 
 @st.composite
 def fusion_pair_strategy(draw):
@@ -60,7 +58,8 @@ def test_fuse_basis_whole_table_matches_jordan_oracle():
 
 
 def test_fuse_basis_structure():
-    for p in PRIMES:
+    # Identities that hold whatever the rule, checked past the oracle's reach.
+    for p in filter(is_prime, range(62)):
         for m in range(p):
             for n in range(p):
                 result = fuse_basis(p, m, n)

@@ -9,7 +9,6 @@ from repgrowth.partitions import Partition, hook_syt_count
 from repgrowth.pieri import (
     Decomposition,
     mean_mass_report,
-    pieri_step,
     tensor_power_decomposition,
     trivial_multiplicity,
     ts_series_sl,
@@ -38,16 +37,6 @@ def test_tensor_power_decomposition_examples():
     }
     d = tensor_power_decomposition(2, 0)
     assert {lam.parts: mult for lam, mult in d.mults.items()} == {(0, 0): 1}
-
-
-def test_pieri_step_adds_one_box():
-    start = Decomposition(2, 1, {Partition((1,), 2): 1})
-    stepped = pieri_step(start)
-    assert stepped.n == 2
-    assert {lam.parts: mult for lam, mult in stepped.mults.items()} == {
-        (2, 0): 1,
-        (1, 1): 1,
-    }
 
 
 def test_decomposition_validates_keys():
@@ -106,10 +95,6 @@ def test_closed_forms_match_the_pieri_sweep(m, k, n):
     assert ts_series_sl(m, k).values == rectangles
     d = tensor_power_decomposition(m, n)
     assert trivial_multiplicity(m, n) == d.mults.get(Partition((n // m,) * m, m), 0)
-    stepped = pieri_step(d)
-    after = tensor_power_decomposition(m, n + 1)
-    assert (stepped.m, stepped.n) == (after.m, after.n)
-    assert list(stepped.mults.items()) == list(after.mults.items())
 
 
 def test_ts_series_sl_supermultiplicative():

@@ -57,13 +57,18 @@ def test_zero_weight_count_symmetries(weights, n):
 
 def test_bernstein_bound_exact_inputs():
     bound = bernstein_zero_bound((2, -1), 3)
-    assert bound.inputs.t == 1
-    assert bound.inputs.v == Fraction(27, 4)
-    assert bound.inputs.b == Fraction(3, 2)
+    assert bound.t == 1
+    assert bound.v == Fraction(27, 4)
+    assert bound.b == Fraction(3, 2)
     # exponent t**2 / (2*(v + b*t/3)) = 2/29, assembled exactly
     assert bound.value == math.exp(-2 / 29)
     bound = bernstein_zero_bound((2, -1), 30)
     assert bound.value == math.exp(-20 / 29)
+
+
+def test_bernstein_bound_exponent_beyond_float_range():
+    # t**2 / (2*(v + b*t/3)) is about 10**309 here, past float range; exp gives 0.0.
+    assert bernstein_zero_bound((10**309, 10**309 - 1), 1).value == 0.0
 
 
 def test_bernstein_bound_degenerate_weights():

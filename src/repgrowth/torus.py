@@ -3,16 +3,20 @@
 A diagonal torus action on an m-dimensional module is a tuple of integer
 weights k = (k_1, ..., k_m).  The invariants of the n-th tensor power are
 spanned by the basis tensors whose weights sum to zero, so counting them is
-exact lattice combinatorics.  When the weights sum to a positive number, a
-Bernstein concentration bound gives an upper estimate for the probability
-that a uniformly random basis tensor is invariant.
+exact lattice combinatorics.  When the weights take two distinct values the
+count is a single binomial term; otherwise it is a dynamic program over
+partial sums.  When the weights sum to a positive number, a Bernstein
+concentration bound gives an upper estimate for the probability that a
+uniformly random basis tensor is invariant.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial
+from math import comb, exp, factorial
 
 
 class InapplicableBoundError(ValueError):
@@ -34,7 +38,7 @@ class BernsteinBound:
 
 
 def _clean_weights(weights) -> tuple[int, ...]:
-    weights = tuple(int(k) for k in weights)
+    weights = tuple(operator.index(k) for k in weights)
     if not weights:
         raise ValueError("need at least one weight")
     return weights
@@ -43,12 +47,22 @@ def _clean_weights(weights) -> tuple[int, ...]:
 def zero_weight_count(weights, n: int) -> int:
     """Number of basis tensors of weight 0 in the n-th tensor power.
 
-    Counts functions f: {1..n} -> {1..m} with sum k_{f(i)} = 0 by dynamic
-    programming over partial sums.
+    Equal weights form classes w_j of multiplicity mu_j, and the count is the
+    sum of n!/prod(c_j!) * prod(mu_j**c_j) over c >= 0 with sum(c_j) = n and
+    sum(c_j*w_j) = 0.  Two classes a < b leave the single solution
+    c_a = b*n/(b - a), hence one binomial term.  Any other number of classes
+    runs a dynamic program over partial sums, one round per tensor factor.
     """
     weights = _clean_weights(weights)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    classes = sorted(Counter(weights).items())
+    if len(classes) == 2:
+        (a, mu_a), (b, mu_b) = classes
+        c_a, rest = divmod(b * n, b - a)
+        if rest or not 0 <= c_a <= n:
+            return 0
+        return comb(n, c_a) * mu_a**c_a * mu_b ** (n - c_a)
     sums = {0: 1}
     for _ in range(n):
         step: dict[int, int] = {}

@@ -1,11 +1,11 @@
-"""Zero-weight counts against exhaustive enumeration; Bernstein bound sanity."""
+"""Zero-weight counts against enumeration and the plain DP; Bernstein bound sanity."""
 
 import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth.pieri import trivial_multiplicity
@@ -22,12 +22,39 @@ def brute_zero_count(weights, n):
     return sum(1 for word in product(weights, repeat=n) if sum(word) == 0)
 
 
+def dp_zero_count(weights, n):
+    """The DP on every input: one round per tensor factor over every partial sum."""
+    sums = {0: 1}
+    for _ in range(n):
+        step = {}
+        for s, c in sums.items():
+            for k in weights:
+                step[s + k] = step.get(s + k, 0) + c
+        sums = step
+    return sums.get(0, 0)
+
+
+@st.composite
+def weight_classes(draw):
+    """1-5 distinct weights, each repeated 1-3 times, in a shuffled order."""
+    distinct = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
+    repeats = [w for w in distinct for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(repeats))
+
+
 def test_zero_weight_count_examples():
     assert zero_weight_count((2, -1), 3) == 3
     assert zero_weight_count((1, -1), 4) == 6
     assert zero_weight_count((2, -1), 4) == 0  # 3 never divides into 4 picks
     assert zero_weight_count((1, 1), 1) == 0
     assert zero_weight_count((5, -3), 0) == 1  # the empty tensor is invariant
+
+
+def test_weights_must_be_integers():
+    with pytest.raises(TypeError):
+        zero_weight_count((2.5, -1), 3)
+    with pytest.raises(TypeError):
+        bernstein_zero_bound((2.9, -1), 3)
 
 
 def test_zero_weight_probability_examples():
@@ -37,19 +64,22 @@ def test_zero_weight_probability_examples():
 
 
 @pytest.mark.parametrize(
-    "weights", [(2, -1), (1, -1), (1, 1), (3, -1, -1), (2, -1, 0), (5, -2, -1)]
+    "weights",
+    [
+        (2, -1), (1, -1), (1, 1), (3, -1, -1), (2, -1, 0), (5, -2, -1),
+        (0,), (0, 0), (3,), (2, 2), (1, 2), (0, 1, -1),
+    ],
 )
 def test_zero_weight_count_matches_enumeration(weights):
     for n in range(8):
         assert zero_weight_count(weights, n) == brute_zero_count(weights, n)
 
 
-@given(
-    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-    st.integers(min_value=0, max_value=6),
-)
+@settings(deadline=None)
+@given(weight_classes(), st.integers(min_value=0, max_value=30))
 def test_zero_weight_count_symmetries(weights, n):
     count = zero_weight_count(weights, n)
+    assert type(count) is int and count == dp_zero_count(weights, n)
     assert zero_weight_count(tuple(reversed(weights)), n) == count
     assert zero_weight_count([-w for w in weights], n) == count
     assert 0 <= count <= len(weights) ** n

@@ -1,14 +1,13 @@
-"""Tensor powers of the natural SL_m module, decomposed by the Pieri rule.
+"""Tensor powers of the natural SL_m module, decomposed by the hook-length formula.
 
-In characteristic zero, V_lam (x) V decomposes as the sum of the V_mu over
-all mu obtained from lam by adding a single box.  Iterating from the empty
-partition decomposes V^(x)n; the multiplicity of V_lam is the number of
-standard Young tableaux of shape lam.  Trivial counts therefore need no
-sweep: they are the hook-length counts of the rectangles (k, ..., k).
+By the Pieri rule (adding one box at a time), V^(x)n holds V_lam, for each
+partition lam of n with at most m parts, once per standard Young tableau of
+shape lam: the hook-length count.  Trivial counts are those of the rectangles (k, ..., k).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,21 +72,18 @@ def tensor_power_decomposition(m: int, n: int) -> Decomposition:
         raise ValueError(f"m must be at least 1, got {m}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    states = {(0,) * m: 1}
-    for _ in range(n):
-        states = _add_box(states)
-    return Decomposition(m, n, {Partition(p, m): c for p, c in states.items()})
+    shapes = (Partition(p, m) for p in _partitions(n, m, n))
+    return Decomposition(m, n, {lam: hook_syt_count(lam) for lam in shapes})
 
 
-def _add_box(states: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """One Pieri step on padded part tuples, which are trusted to be partitions."""
-    out: dict[tuple[int, ...], int] = {}
-    for parts, mult in states.items():
-        for i, row in enumerate(parts):
-            if i == 0 or parts[i - 1] > row:  # the new box keeps the rows weakly decreasing
-                mu = parts[:i] + (row + 1,) + parts[i + 1 :]
-                out[mu] = out.get(mu, 0) + mult
-    return out
+def _partitions(n: int, m: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n, at most m parts, none above ``largest``, padded, descending lex."""
+    if m == 1:  # reached with n <= largest: first >= n/m leaves n - first <= (m-1)*first
+        yield (n,)
+        return
+    for first in range(min(n, largest), -(-n // m) - 1, -1):
+        for rest in _partitions(n - first, m - 1, first):
+            yield (first, *rest)
 
 
 def trivial_multiplicity(m: int, n: int) -> int:

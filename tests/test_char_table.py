@@ -184,6 +184,25 @@ def test_min_power_containing_regular():
         min_power_containing_regular(z3, z3.irreps[1], max_n=1)
 
 
+def test_min_power_containing_regular_matches_fresh_powers():
+    # The running power (1 + f)**N against each power computed afresh.
+    for name in BUILTINS:
+        table = builtin_table(name)
+        for chi in table.irreps:
+            if not is_faithful(table, chi):
+                continue
+            one_plus = ClassFunction(tuple(1 + v for v in chi.values))
+            least = next(
+                n
+                for n in range(1, table.group_order + 1)
+                if all(
+                    m >= d
+                    for m, d in zip(decompose(table, tensor_power_char(one_plus, n)), table.degrees)
+                )
+            )
+            assert min_power_containing_regular(table, chi) == least
+
+
 @pytest.mark.parametrize("power", [40, 60])
 def test_decompose_large_rational_powers_are_exact(power):
     s4 = builtin_table("s4")
@@ -207,6 +226,23 @@ def test_min_power_containing_regular_checks_monotonicity(monkeypatch):
     monkeypatch.setattr(char_table, "decompose", fake_decompose)
     with pytest.raises(ArithmeticError, match="N=1"):
         min_power_containing_regular(s3, s3.irreps[s3.irrep_index("std")])
+
+
+def test_min_power_containing_regular_steps_one_power_at_a_time(monkeypatch):
+    s3 = builtin_table("s3")
+    std = s3.irreps[s3.irrep_index("std")]
+    calls = []
+
+    def fake_decompose(table, f):
+        # Containment fails at N = 1 and 2, holds at N = 3 and 4, fails at N = 5.
+        calls.append(f)
+        return table.degrees if len(calls) in (3, 4) else (0,) * len(table.degrees)
+
+    monkeypatch.setattr(char_table, "decompose", fake_decompose)
+    with pytest.raises(ArithmeticError, match="N=3"):
+        min_power_containing_regular(s3, std)
+    one_plus = ClassFunction(tuple(1 + v for v in std.values))
+    assert calls == [tensor_power_char(one_plus, n) for n in range(1, 6)]
 
 
 def test_load_table_round_trips_s3():

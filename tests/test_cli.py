@@ -1,6 +1,12 @@
 """End-to-end CLI behaviour: frozen text output, exit codes, JSON/CSV modes."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +272,28 @@ def test_unexpected_errors_exit_3_without_traceback(capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
     assert err == "error: OverflowError: int too large to convert to float\n"
+
+
+def test_exit_codes_at_the_process_level(s3_file):
+    # `python -m repgrowth.cli` turns the return value of main into the exit status.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    cases = [
+        (["pieri", "--m", "2", "--n", "4"], 0),
+        (["chartab", s3_file, "min-regular", "--irrep", "std", "--max", "1"], 1),
+        (["fusion", "--p", "4", "1", "1"], 2),
+        (["ts", "modular", "--p", "3", "--seed", f"{10**400}*V1", "--max", "1"], 3),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repgrowth.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == expected, argv
+        assert "Traceback" not in proc.stderr, argv
+        if expected >= 2:
+            assert len(proc.stderr.splitlines()) == 1, argv
+        if expected == 0:
+            assert proc.stdout == "(4): 1\n(3,1): 3\n(2,2): 2\n"
 
 
 def test_malformed_table_reports_line(capsys, tmp_path):
@@ -537,3 +565,38 @@ def test_golden_stdout(argv, expected, capsys, s3_file):
     argv = [s3_file if token == "TABLE" else token for token in argv]
     code, out, _ = run(argv, capsys)
     assert (code, out) == (0, expected.replace("TABLE", s3_file))
+
+
+def readme_examples():
+    """(command, expected lines) for each `$ repgrowth` line in a fenced README block.
+
+    The expected lines run to the next `$` line or the closing fence, less
+    trailing blank lines.
+    """
+    examples, current, fenced = [], None, False
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced, current = not fenced, None
+        elif fenced and line.startswith("$ "):
+            current = []
+            examples.append((line.removeprefix("$ repgrowth "), current))
+        elif current is not None:
+            current.append(line)
+    for _, lines in examples:
+        while lines and not lines[-1]:
+            lines.pop()
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_examples(command, expected, capsys, s3_file):
+    # A "..." line stands for any run of output lines.
+    argv = [s3_file if token == "s3.tbl" else token for token in shlex.split(command)]
+    code, out, _ = run(argv, capsys)
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected)
+    assert code == 0
+    assert re.fullmatch(pattern, out), out

@@ -1,4 +1,4 @@
-"""Pieri-rule decompositions against the hook-length oracle and mass identities."""
+"""Hook-length decompositions against the Pieri sweep, and mass identities."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from repgrowth.growth import fekete_check
 from repgrowth.partitions import Partition, hook_syt_count
 from repgrowth.pieri import (
     Decomposition,
+    _partitions,
     mean_mass_report,
     tensor_power_decomposition,
     trivial_multiplicity,
@@ -15,6 +16,20 @@ from repgrowth.pieri import (
 )
 
 CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
+
+
+def pieri_sweep(m, n):
+    """V^(x)n by the Pieri rule, one box at a time: padded parts -> multiplicity."""
+    states = {(0,) * m: 1}
+    for _ in range(n):
+        out = {}
+        for parts, mult in states.items():
+            for i, row in enumerate(parts):
+                if i == 0 or parts[i - 1] > row:  # the new box keeps the rows weakly decreasing
+                    mu = parts[:i] + (row + 1,) + parts[i + 1 :]
+                    out[mu] = out.get(mu, 0) + mult
+        states = out
+    return states
 
 
 def test_tensor_power_decomposition_examples():
@@ -50,12 +65,10 @@ def test_multiplicities_are_syt_counts():
     for m in (2, 3, 4):
         for n in range(13):
             d = tensor_power_decomposition(m, n)
-            for lam, mult in d.mults.items():
-                assert mult == hook_syt_count(lam)
+            sweep = pieri_sweep(m, n)
+            assert {lam.parts: mult for lam, mult in d.mults.items()} == sweep
             assert d.dimension() == m**n
-            assert d.total_multiplicity() == sum(
-                hook_syt_count(lam) for lam in d.mults
-            )
+            assert d.total_multiplicity() == sum(sweep.values())
 
 
 def test_trivial_multiplicity_catalan():
@@ -85,16 +98,17 @@ def test_ts_series_sl_matches_rectangles():
 
 
 @settings(deadline=None)
-@given(m=st.integers(1, 5), k=st.integers(1, 4), n=st.integers(0, 12))
+@given(m=st.integers(1, 6), k=st.integers(1, 4), n=st.integers(0, 20))
 def test_closed_forms_match_the_pieri_sweep(m, k, n):
-    # The sweep is the independent oracle for the hook-length rectangle counts.
-    rectangles = tuple(
-        tensor_power_decomposition(m, m * j).mults[Partition((j,) * m, m)]
-        for j in range(1, k + 1)
-    )
-    assert ts_series_sl(m, k).values == rectangles
+    # The sweep is the independent oracle for every hook-length count.
+    sweep = pieri_sweep(m, n)
+    descending = sorted(sweep.items(), reverse=True)
+    assert list(_partitions(n, m, n)) == [parts for parts, _ in descending]
     d = tensor_power_decomposition(m, n)
-    assert trivial_multiplicity(m, n) == d.mults.get(Partition((n // m,) * m, m), 0)
+    assert [(lam.parts, mult) for lam, mult in d.mults.items()] == descending
+    assert trivial_multiplicity(m, n) == sweep.get((n // m,) * m, 0)
+    rectangles = tuple(pieri_sweep(m, m * j)[(j,) * m] for j in range(1, k + 1))
+    assert ts_series_sl(m, k).values == rectangles
 
 
 def test_ts_series_sl_supermultiplicative():

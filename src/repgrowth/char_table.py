@@ -342,18 +342,15 @@ def min_power_containing_regular(
         raise ValueError(f"max_n must be at least 1, got {cap}")
     one_plus = ClassFunction(tuple(1 + v for v in f.values))
 
-    def contains_regular(power: ClassFunction) -> bool:
-        mults = decompose(table, power)
+    def contains_regular(n: int) -> bool:
+        mults = decompose(table, tensor_power_char(one_plus, n))
         return all(m >= d for m, d in zip(mults, table.degrees))
 
-    power = one_plus
     for n in range(1, cap + 1):
-        following = power * one_plus
-        if contains_regular(power):
-            if not (contains_regular(following) and contains_regular(following * one_plus)):
+        if contains_regular(n):
+            if not (contains_regular(n + 1) and contains_regular(n + 2)):
                 raise ArithmeticError(f"regular containment at N={n} fails at N+1 or N+2")
             return n
-        power = following
     raise LookupError(f"no power up to {cap} contains the regular character")
 
 

@@ -77,9 +77,9 @@ def tensor_power_decomposition(m: int, n: int) -> Decomposition:
 
 
 def _partitions(n: int, m: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n, at most m parts, none above ``largest``, padded, descending lex."""
-    if m == 1:  # reached with n <= largest: first >= n/m leaves n - first <= (m-1)*first
-        yield (n,)
+    """Partitions of n with at most m parts, none above ``largest``, zero-padded to m."""
+    if n == 0 or m == 1:  # n <= largest here: first >= n/m leaves n - first <= (m-1)*first
+        yield (n,) + (0,) * (m - 1)
         return
     for first in range(min(n, largest), -(-n // m) - 1, -1):
         for rest in _partitions(n - first, m - 1, first):

@@ -185,7 +185,7 @@ def test_min_power_containing_regular():
 
 
 def test_min_power_containing_regular_matches_fresh_powers():
-    # The running power (1 + f)**N against each power computed afresh.
+    # The least N whose fresh power (1 + f)**N contains every irreducible degree times.
     for name in BUILTINS:
         table = builtin_table(name)
         for chi in table.irreps:
@@ -226,23 +226,6 @@ def test_min_power_containing_regular_checks_monotonicity(monkeypatch):
     monkeypatch.setattr(char_table, "decompose", fake_decompose)
     with pytest.raises(ArithmeticError, match="N=1"):
         min_power_containing_regular(s3, s3.irreps[s3.irrep_index("std")])
-
-
-def test_min_power_containing_regular_steps_one_power_at_a_time(monkeypatch):
-    s3 = builtin_table("s3")
-    std = s3.irreps[s3.irrep_index("std")]
-    calls = []
-
-    def fake_decompose(table, f):
-        # Containment fails at N = 1 and 2, holds at N = 3 and 4, fails at N = 5.
-        calls.append(f)
-        return table.degrees if len(calls) in (3, 4) else (0,) * len(table.degrees)
-
-    monkeypatch.setattr(char_table, "decompose", fake_decompose)
-    with pytest.raises(ArithmeticError, match="N=3"):
-        min_power_containing_regular(s3, std)
-    one_plus = ClassFunction(tuple(1 + v for v in std.values))
-    assert calls == [tensor_power_char(one_plus, n) for n in range(1, 6)]
 
 
 def test_load_table_round_trips_s3():

@@ -8,7 +8,6 @@ from repgrowth.growth import fekete_check
 from repgrowth.partitions import Partition, hook_syt_count
 from repgrowth.pieri import (
     Decomposition,
-    _partitions,
     mean_mass_report,
     tensor_power_decomposition,
     trivial_multiplicity,
@@ -103,12 +102,20 @@ def test_closed_forms_match_the_pieri_sweep(m, k, n):
     # The sweep is the independent oracle for every hook-length count.
     sweep = pieri_sweep(m, n)
     descending = sorted(sweep.items(), reverse=True)
-    assert list(_partitions(n, m, n)) == [parts for parts, _ in descending]
     d = tensor_power_decomposition(m, n)
     assert [(lam.parts, mult) for lam, mult in d.mults.items()] == descending
     assert trivial_multiplicity(m, n) == sweep.get((n // m,) * m, 0)
     rectangles = tuple(pieri_sweep(m, m * j)[(j,) * m] for j in range(1, k + 1))
     assert ts_series_sl(m, k).values == rectangles
+
+
+@pytest.mark.parametrize("m, n", [(2000, 2), (1000, 0), (5000, 4)])
+def test_many_rows_few_boxes(m, n):
+    # Zero rows cost nothing: m far above Python's recursion limit still works.
+    d = tensor_power_decomposition(m, n)
+    assert [(lam.parts, mult) for lam, mult in d.mults.items()] == sorted(
+        pieri_sweep(m, n).items(), reverse=True
+    )
 
 
 def test_ts_series_sl_supermultiplicative():

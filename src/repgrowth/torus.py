@@ -2,21 +2,23 @@
 
 A diagonal torus action on an m-dimensional module is a tuple of integer
 weights k = (k_1, ..., k_m).  The invariants of the n-th tensor power are
-spanned by the basis tensors whose weights sum to zero, so counting them is
-exact lattice combinatorics.  When the weights take two distinct values the
-count is a single binomial term; otherwise it is a dynamic program over
-partial sums.  When the weights sum to a positive number, a Bernstein
-concentration bound gives an upper estimate for the probability that a
-uniformly random basis tensor is invariant.
+spanned by the basis tensors whose weights sum to zero, so their number is
+the constant term of P(x)**n with P(x) = sum_i x**k_i.  It is computed
+exactly by J. C. P. Miller's recurrence for the coefficients of a power of a
+polynomial, in time linear in n for every weight vector.  When the weights
+sum to a positive number, a Bernstein concentration bound gives an upper
+estimate for the probability that a uniformly random basis tensor is
+invariant.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial
+from heapq import heappop, heappush
+from math import exp, factorial, gcd
 
 
 class InapplicableBoundError(ValueError):
@@ -47,30 +49,62 @@ def _clean_weights(weights) -> tuple[int, ...]:
 def zero_weight_count(weights, n: int) -> int:
     """Number of basis tensors of weight 0 in the n-th tensor power.
 
-    Equal weights form classes w_j of multiplicity mu_j, and the count is the
-    sum of n!/prod(c_j!) * prod(mu_j**c_j) over c >= 0 with sum(c_j) = n and
-    sum(c_j*w_j) = 0.  Two classes a < b leave the single solution
-    c_a = b*n/(b - a), hence one binomial term.  Any other number of classes
-    runs a dynamic program over partial sums, one round per tensor factor.
+    The count is the constant term of P(x)**n, P(x) = sum_i x**k_i.  Shift
+    the exponents to start at 0 and divide them by their gcd g, so that
+    P = sum_j p_j x**j has degree d and p_0 > 0; the constant term becomes
+    the coefficient of x**t in Q = P**n, t = n*(-min k)/g, and is 0 when g
+    does not divide n*(-min k).  From P*Q' = n*P'*Q, Miller's recurrence
+
+        k*p_0*q_k = sum_{j >= 1, p_j != 0} ((n+1)*j - k) * p_j * q_{k-j}
+
+    gives q_1, ..., q_t from q_0 = p_0**n, holding only the coefficients
+    of the last d exponents.  Reversing P swaps the ends of Q, so the walk
+    starts from the end nearer x**t.  It visits only exponents that P**n can
+    reach, at most min(t, n*d - t) of them, with one term per distinct
+    weight.  A single weight class (g = 0) counts m**n if its weight is 0.
     """
     weights = _clean_weights(weights)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    classes = sorted(Counter(weights).items())
-    if len(classes) == 2:
-        (a, mu_a), (b, mu_b) = classes
-        c_a, rest = divmod(b * n, b - a)
-        if rest or not 0 <= c_a <= n:
-            return 0
-        return comb(n, c_a) * mu_a**c_a * mu_b ** (n - c_a)
-    sums = {0: 1}
-    for _ in range(n):
-        step: dict[int, int] = {}
-        for s, c in sums.items():
-            for k in weights:
-                step[s + k] = step.get(s + k, 0) + c
-        sums = step
-    return sums.get(0, 0)
+    if n == 0:
+        return 1
+    low, high = min(weights), max(weights)
+    g = gcd(*(k - low for k in weights))
+    if g == 0:
+        return len(weights) ** n if low == 0 else 0
+    degree = (high - low) // g
+    target, rest = divmod(-low * n, g)
+    if rest or not 0 <= target <= n * degree:
+        return 0
+    exponents = [(k - low) // g for k in weights]
+    if 2 * target > n * degree:
+        # Walk from the other end of Q: reverse P, x**j -> x**(degree - j).
+        exponents = [degree - j for j in exponents]
+        target = n * degree - target
+    classes = Counter(exponents)
+    p0 = classes.pop(0)
+    terms = sorted((j, p) for j, p in classes.items() if j <= target)
+    # Only exponents k = i + j with q_i != 0 can have q_k != 0, so the walk
+    # visits those in increasing order and holds the ones within `degree`.
+    q = {0: p0**n}
+    held = deque([0])
+    frontier = [j for j, _ in terms]
+    while frontier:
+        k = heappop(frontier)
+        if k == held[-1]:
+            continue
+        while held[0] < k - degree:
+            del q[held.popleft()]
+        total = sum(((n + 1) * j - k) * p * q.get(k - j, 0) for j, p in terms)
+        q[k], rest = divmod(total, k * p0)
+        if rest:
+            raise ArithmeticError(f"Miller's recurrence left a remainder at x**{k}")
+        held.append(k)
+        if q[k]:
+            for j, _ in terms:
+                if k + j <= target:
+                    heappush(frontier, k + j)
+    return q.get(target, 0)
 
 
 def zero_weight_probability(weights, n: int) -> Fraction:

@@ -1,6 +1,12 @@
-"""Zero-weight counts against enumeration and the plain DP; Bernstein bound sanity."""
+"""Zero-weight counts by Miller's recurrence against three oracles; Bernstein bound sanity.
+
+The oracles share no code with the library: enumeration and the plain DP
+over partial sums for small n, the two-class binomial at any n, and
+Kronecker substitution for large n.
+"""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repgrowth.cli import main
 from repgrowth.pieri import trivial_multiplicity
 from repgrowth.torus import (
     InapplicableBoundError,
@@ -32,6 +39,42 @@ def dp_zero_count(weights, n):
                 step[s + k] = step.get(s + k, 0) + c
         sums = step
     return sums.get(0, 0)
+
+
+def binomial_zero_count(weights, n):
+    """Two weight classes a < b: c_a + c_b = n and a*c_a + b*c_b = 0 fix c_a = b*n/(b - a)."""
+    (a, mu_a), (b, mu_b) = sorted(Counter(weights).items())
+    c_a, rest = divmod(b * n, b - a)
+    if rest or not 0 <= c_a <= n:
+        return 0
+    return math.comb(n, c_a) * mu_a**c_a * mu_b ** (n - c_a)
+
+
+def _digits(x, count, size):
+    """The lowest `count` base-256**size digits of x."""
+    raw = x.to_bytes(max(count * size, (x.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(count)]
+
+
+def kronecker_zero_count(weights, n):
+    """Constant term of P(x)**n, P(x) = sum_k x**k, by Kronecker substitution.
+
+    Shifted by the least weight, P evaluated at x = 2**B is one integer, and
+    its h-th power holds the coefficients of P**h as base-2**B digits when
+    B is wider than m**h, which bounds each of them.  The wanted coefficient
+    of P**n = P**h * P**(n-h) is the dot product of the two digit lists; with
+    h = n // 2 no integer is wider than half of P(2**B)**n.
+    """
+    low = min(weights)
+    target = -low * n
+    if not 0 <= target <= n * (max(weights) - low):
+        return 0
+    size = (len(weights) ** (n - n // 2)).bit_length() // 8 + 1
+    base = sum(1 << (8 * size * (k - low)) for k in weights)
+    half = base ** (n // 2)
+    left = _digits(half, target + 1, size)
+    right = left if n % 2 == 0 else _digits(half * base, target + 1, size)
+    return sum(a * b for a, b in zip(left, reversed(right)))
 
 
 @st.composite
@@ -68,6 +111,7 @@ def test_zero_weight_probability_examples():
     [
         (2, -1), (1, -1), (1, 1), (3, -1, -1), (2, -1, 0), (5, -2, -1),
         (0,), (0, 0), (3,), (2, 2), (1, 2), (0, 1, -1),
+        (0, 1, 2), (0, 0, 3), (1, 2, 5), (0, -1, -4), (-1, -2), (0, 0, 0), (5, 1, -3),
     ],
 )
 def test_zero_weight_count_matches_enumeration(weights):
@@ -83,6 +127,72 @@ def test_zero_weight_count_symmetries(weights, n):
     assert zero_weight_count(tuple(reversed(weights)), n) == count
     assert zero_weight_count([-w for w in weights], n) == count
     assert 0 <= count <= len(weights) ** n
+
+
+def test_zero_weight_count_edge_cases():
+    for n in range(1, 13):
+        # All weights >= 0 or all <= 0: only the zero-weight letters survive.
+        assert zero_weight_count((0, 1, 2), n) == 1
+        assert zero_weight_count((0, 0, 3), n) == 2**n
+        assert zero_weight_count((1, 2, 5), n) == 0
+        assert zero_weight_count((0, -1, -4), n) == 1
+        assert zero_weight_count((0, 0, -2, -1), n) == 2**n
+        assert zero_weight_count((-1, -2), n) == 0
+        # One class.
+        assert zero_weight_count((0,), n) == 1
+        assert zero_weight_count((0, 0, 0), n) == 3**n
+        assert zero_weight_count((3,), n) == 0
+        # (5, 1, -3) shifted by 3 is (8, 4, 0), gcd 4, target 3n: 0 unless 4 | n.
+        count = zero_weight_count((5, 1, -3), n)
+        assert count == dp_zero_count((5, 1, -3), n)
+        assert (count > 0) == (n % 4 == 0)
+    for weights in [(0,), (0, 0, 0), (3,), (1, 2, 5), (-1, -2), (5, 1, -3), (2, -1)]:
+        assert zero_weight_count(weights, 0) == 1
+
+
+def test_zero_weight_count_huge_spread():
+    # One word shape: a single 10**9 among 10**9 copies of -1.
+    assert zero_weight_count((10**9, -1), 10**9 + 1) == 10**9 + 1
+    assert zero_weight_count((10**9, -1), 10**9 + 1) == binomial_zero_count((10**9, -1), 10**9 + 1)
+    assert zero_weight_count((10**9, -1), 10**9) == 0
+    # Three classes over a spread of 2*10**9: only reachable exponents are visited.
+    for n in range(7):
+        assert zero_weight_count((10**9, 1, -(10**9)), n) == dp_zero_count((10**9, 1, -(10**9)), n)
+    assert zero_weight_count((10**9, 1, -(10**9)), 12) == math.comb(12, 6)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=2, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=3000),
+    st.randoms(use_true_random=False),
+)
+def test_two_classes_match_the_binomial(pair, mu_a, mu_b, n, rng):
+    weights = [pair[0]] * mu_a + [pair[1]] * mu_b
+    rng.shuffle(weights)
+    assert zero_weight_count(weights, n) == binomial_zero_count(weights, n)
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+@pytest.mark.parametrize("weights", [(3, 1, -1, -2), (2, 1, 0, -1, -3)])
+def test_large_n_matches_kronecker(weights, n):
+    assert zero_weight_count(weights, n) == kronecker_zero_count(weights, n)
+
+
+def test_kronecker_oracle_matches_the_dp():
+    for weights in [(3, 1, -1, -2), (2, 1, 0, -1, -3), (5, 1, -3), (0, 1, 2), (1, 2), (0,)]:
+        for n in range(9):
+            assert kronecker_zero_count(weights, n) == dp_zero_count(weights, n)
+
+
+def test_cli_stress_size(capsys):
+    assert main(["torus", "--weights", "3,-1,-1", "--n", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    count = kronecker_zero_count((3, -1, -1), 2000)
+    assert count == binomial_zero_count((3, -1, -1), 2000)
+    assert lines[:2] == [f"count = {count}", f"probability = {Fraction(count, 3**2000)}"]
 
 
 def test_bernstein_bound_exact_inputs():

@@ -5,10 +5,10 @@ weights k = (k_1, ..., k_m).  The invariants of the n-th tensor power are
 spanned by the basis tensors whose weights sum to zero, so their number is
 the constant term of P(x)**n with P(x) = sum_i x**k_i.  It is computed
 exactly by J. C. P. Miller's recurrence for the coefficients of a power of a
-polynomial, in time linear in n for every weight vector.  When the weights
-sum to a positive number, a Bernstein concentration bound gives an upper
-estimate for the probability that a uniformly random basis tensor is
-invariant.
+polynomial, in a number of steps linear in n for every weight vector.  When
+the weights sum to a positive number, a Bernstein concentration bound gives
+an upper estimate for the probability that a uniformly random basis tensor
+is invariant.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import exp, log
 
@@ -23,7 +24,7 @@ class GrowthSeries:
             raise ValueError(f"step must be at least 1, got {self.step}")
         if self.dim_v < 1:
             raise ValueError(f"dim_v must be at least 1, got {self.dim_v}")
-        values = tuple(int(a) for a in self.values)
+        values = tuple(map(operator.index, self.values))
         for k, a in enumerate(values, start=1):
             if a < 0:
                 raise ValueError(f"negative count {a} at position {k}")

@@ -15,6 +15,7 @@ of ``tensor_power(w, k)`` (a vector squared through ``fuse``): independent compu
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ class IntegerRingMap:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         if len(rows) != self.p or any(len(row) != self.p for row in rows):
             raise ValueError(f"expected a {self.p}x{self.p} matrix")
         if any(x < 0 for row in rows for x in row):

@@ -9,6 +9,7 @@ J (x) J - I over F_p, applied as a three-term stencil; the tests compare both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
@@ -37,7 +38,7 @@ class FusionVector:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         if len(coeffs) != self.p:
             raise ValueError(f"expected {self.p} coefficients, got {len(coeffs)}")
         if any(c < 0 for c in coeffs):

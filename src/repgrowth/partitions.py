@@ -1,17 +1,19 @@
-"""Partitions as dominant SL_m weights: dimensions, duality, and hook counts.
+"""Partitions as dominant SL_m weights: dimensions, duality, and tableau counts.
 
 Irreducible polynomial representations of SL_m are indexed by partitions with
 at most m parts.  Two partitions index the same SL_m representation exactly
 when they differ by a multiple of (1, ..., 1); the canonical representative
-has last part 0.  Everything here is exact integer / rational arithmetic.
+has last part 0.  Weyl's dimensions and Frobenius's tableau counts are both
+quotients of one Vandermonde product.  Everything here is exact arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Union
+from math import factorial, prod
+from typing import Iterable, Sequence, Union
 
 
 class InvalidPartitionError(ValueError):
@@ -35,7 +37,7 @@ class Partition:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise InvalidPartitionError(f"rank must be at least 1, got {self.m}")
-        parts = tuple(int(x) for x in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         if len(parts) > self.m:
             raise InvalidPartitionError(f"{parts} has more than {self.m} parts")
         parts = parts + (0,) * (self.m - len(parts))
@@ -85,11 +87,11 @@ class DualWeightResult:
 
 def _as_partition(parts: PartitionLike, m: int | None = None) -> Partition:
     if isinstance(parts, Partition):
+        if m is not None and m != parts.m:
+            raise InvalidPartitionError(f"{parts.parts} has rank {parts.m}, not {m}")
         return parts
     parts = tuple(parts)
-    if m is None:
-        m = len(parts)
-    return Partition(parts, m)
+    return Partition(parts, len(parts) if m is None else m)
 
 
 def canonicalize(parts: PartitionLike, m: int | None = None) -> SlWeight:
@@ -103,19 +105,21 @@ def canonicalize(parts: PartitionLike, m: int | None = None) -> SlWeight:
     return SlWeight(Partition(tuple(x - shift for x in lam.parts), lam.m))
 
 
+def _vandermonde(l: Sequence[int]) -> int:
+    """The product over i < j of (l_i - l_j)."""
+    return prod(a - b for i, a in enumerate(l) for b in l[i + 1 :])
+
+
 def weyl_dimension(lam: PartitionLike, m: int | None = None) -> int:
     """Dimension of the irreducible SL_m representation with highest weight lam.
 
-    Weyl's formula: the product over i < j of (lam_i - lam_j + j - i)/(j - i).
-    The product is always an integer; the computation is exact.
+    Weyl's formula: the product over i < j of (lam_i - lam_j + j - i)/(j - i),
+    that is Vandermonde(lam_i - i) / Vandermonde(m - i).  The quotient is
+    always an integer; the computation is exact.
     """
     lam = _as_partition(lam, m)
-    num = den = 1
-    for i in range(lam.m):
-        for j in range(i + 1, lam.m):
-            num *= lam.parts[i] - lam.parts[j] + (j - i)
-            den *= j - i
-    return num // den
+    shifted = [x - i for i, x in enumerate(lam.parts)]
+    return _vandermonde(shifted) // _vandermonde(range(lam.m, 0, -1))
 
 
 def dual_weight(lam: PartitionLike, n: int, m: int | None = None) -> DualWeightResult:
@@ -158,24 +162,16 @@ def is_close_to_mean(
 
 
 def hook_syt_count(shape: PartitionLike) -> int:
-    """Number of standard Young tableaux of ``shape`` (hook-length formula).
+    """Number of standard Young tableaux of ``shape`` (Frobenius's formula).
 
-    Returns n! divided by the product of all hook lengths, an exact integer.
-    This also equals the multiplicity of the irreducible GL_m summand of
-    highest weight ``shape`` in the n-th tensor power of the natural module,
-    for any m >= number of parts.
+    Over the r nonzero rows, with l_i = lam_i + r - i, the count is the exact
+    integer n! * Vandermonde(l) / (l_1! * ... * l_r!).  It is also the
+    multiplicity of the irreducible GL_m summand of highest weight ``shape``
+    in the n-th tensor power of the natural module, for any m >= r.
     """
-    parts = shape.parts if isinstance(shape, Partition) else tuple(int(x) for x in shape)
+    parts = shape.parts if isinstance(shape, Partition) else tuple(map(operator.index, shape))
     if any(a < b for a, b in zip(parts, parts[1:])) or (parts and parts[-1] < 0):
         raise InvalidPartitionError(f"{tuple(parts)} is not a partition")
     rows = [x for x in parts if x > 0]
-    n = sum(rows)
-    conjugate = [0] * (rows[0] if rows else 0)
-    for row in rows:
-        for j in range(row):
-            conjugate[j] += 1
-    hooks = 1
-    for i, row in enumerate(rows):
-        for j in range(row):
-            hooks *= (row - j) + (conjugate[j] - i) - 1
-    return factorial(n) // hooks
+    l = [x + len(rows) - i for i, x in enumerate(rows, start=1)]
+    return factorial(sum(rows)) * _vandermonde(l) // prod(map(factorial, l))

@@ -1,8 +1,8 @@
-"""Tensor powers of the natural SL_m module, decomposed by the hook-length formula.
+"""Tensor powers of the natural SL_m module, decomposed by Frobenius's formula.
 
 By the Pieri rule (adding one box at a time), V^(x)n holds V_lam, for each
 partition lam of n with at most m parts, once per standard Young tableau of
-shape lam: the hook-length count.  Trivial counts are those of the rectangles (k, ..., k).
+shape lam: Frobenius's count.  Trivial counts are those of the rectangles (k, ..., k).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def trivial_multiplicity(m: int, n: int) -> int:
     """Number of trivial SL_m summands of V^(x)n.
 
     The trivial class is the rectangle (n/m, ..., n/m); the count is its
-    hook-length SYT count, and zero unless m divides n.
+    number of standard tableaux, and zero unless m divides n.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repgrowth.growth import GrowthSeries
+from repgrowth.markov import IntegerRingMap
+from repgrowth.modular_fusion import FusionVector
 from repgrowth.partitions import (
     InvalidPartitionError,
     Partition,
@@ -41,7 +45,7 @@ def all_partitions(n, max_parts=None):
 def brute_syt_count(shape):
     """Count standard tableaux by peeling the cell containing n off a corner.
 
-    Independent of hook lengths: pure recursion over removable corners.
+    Independent of Frobenius's formula: pure recursion over removable corners.
     """
     rows = tuple(r for r in shape if r)
     if not rows:
@@ -74,6 +78,32 @@ def test_partition_pads_and_validates():
         Partition((1, 1, 1), 2)
     with pytest.raises(InvalidPartitionError):
         Partition((1,), 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Partition((1.5, 0), 2),
+        lambda: hook_syt_count((2.7, 1)),
+        lambda: FusionVector(3, (1.5, 0, 0)),
+        lambda: IntegerRingMap(2, ((1.0, 0), (0, 1))),
+        lambda: GrowthSeries(step=1, values=(1, 2.0), dim_v=2),
+    ],
+    ids=["Partition", "hook_syt_count", "FusionVector", "IntegerRingMap", "GrowthSeries"],
+)
+def test_integer_constructors_reject_floats(build):
+    # An integral float is refused too: no integer answer passes through a float.
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_partition_of_another_rank_is_refused():
+    lam = Partition((1,), 3)
+    assert weyl_dimension(lam, 3) == 3 and canonicalize(lam, 3).canonical == lam
+    with pytest.raises(InvalidPartitionError, match="rank 3, not 2"):
+        weyl_dimension(lam, 2)
+    with pytest.raises(InvalidPartitionError, match="rank 3, not 4"):
+        canonicalize(lam, 4)
 
 
 def test_canonicalize_examples():
@@ -172,6 +202,10 @@ def test_hook_syt_count_matches_corner_peeling():
     for n in range(9):
         for shape in all_partitions(n):
             assert hook_syt_count(shape) == brute_syt_count(shape)
+    # Every shape in the 6 x 10 box, up to 60 boxes.
+    for rows in combinations_with_replacement(range(11), 6):
+        shape = rows[::-1]
+        assert hook_syt_count(shape) == brute_syt_count(shape)
 
 
 def test_hook_syt_count_classical_identities():

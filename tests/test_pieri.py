@@ -1,11 +1,13 @@
-"""Hook-length decompositions against the Pieri sweep, and mass identities."""
+"""Frobenius-formula decompositions against the Pieri sweep, and mass identities."""
+
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth.growth import fekete_check
-from repgrowth.partitions import Partition, hook_syt_count
+from repgrowth.partitions import Partition, hook_syt_count, weyl_dimension
 from repgrowth.pieri import (
     Decomposition,
     mean_mass_report,
@@ -99,7 +101,7 @@ def test_ts_series_sl_matches_rectangles():
 @settings(deadline=None)
 @given(m=st.integers(1, 6), k=st.integers(1, 4), n=st.integers(0, 20))
 def test_closed_forms_match_the_pieri_sweep(m, k, n):
-    # The sweep is the independent oracle for every hook-length count.
+    # The sweep is the independent oracle for every Frobenius count.
     sweep = pieri_sweep(m, n)
     descending = sorted(sweep.items(), reverse=True)
     d = tensor_power_decomposition(m, n)
@@ -116,6 +118,17 @@ def test_many_rows_few_boxes(m, n):
     assert [(lam.parts, mult) for lam, mult in d.mults.items()] == sorted(
         pieri_sweep(m, n).items(), reverse=True
     )
+
+
+@pytest.mark.parametrize("m, n", [(2, 3000), (3, 300)])
+def test_large_n_decomposition_fills_m_to_the_n(m, n):
+    d = tensor_power_decomposition(m, n)
+    assert sum(mult * weyl_dimension(lam) for lam, mult in d.mults.items()) == m**n
+
+
+def test_trivial_multiplicity_large_n_catalan():
+    # Catalan's closed form shares nothing with Frobenius's formula.
+    assert trivial_multiplicity(2, 3000) == comb(3000, 1500) // 1501
 
 
 def test_ts_series_sl_supermultiplicative():

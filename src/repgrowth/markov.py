@@ -99,10 +99,6 @@ class IntegerRingMap:
             raise ValueError("entries must be non-negative")
         object.__setattr__(self, "rows", rows)
 
-    def column_vector(self, j: int) -> FusionVector:
-        """S(V_j) as a fusion vector."""
-        return FusionVector(self.p, tuple(self.rows[i][j] for i in range(self.p)))
-
     def compose(self, other: "IntegerRingMap") -> "IntegerRingMap":
         """Matrix of self o other, i.e. the product [self][other]."""
         return IntegerRingMap(self.p, _matmul(self.rows, other.rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, perm, prod
 from typing import Iterable, Sequence, Union
 
 
@@ -113,13 +113,18 @@ def _vandermonde(l: Sequence[int]) -> int:
 def weyl_dimension(lam: PartitionLike, m: int | None = None) -> int:
     """Dimension of the irreducible SL_m representation with highest weight lam.
 
-    Weyl's formula: the product over i < j of (lam_i - lam_j + j - i)/(j - i),
-    that is Vandermonde(lam_i - i) / Vandermonde(m - i).  The quotient is
-    always an integer; the computation is exact.
+    Weyl's formula: the product over i < j of (lam_i - lam_j + j - i)/(j - i).
+    Pairs of two zero rows give 1, so over the r nonzero rows, with
+    l_i = lam_i + r - i, it is Vandermonde(l) * prod_i (l_i+1)...(l_i+m-r)
+    divided by prod_i (m-i)!: O(r**2 + r*m) factors.  The quotient is always
+    an integer; the computation is exact.
     """
     lam = _as_partition(lam, m)
-    shifted = [x - i for i, x in enumerate(lam.parts)]
-    return _vandermonde(shifted) // _vandermonde(range(lam.m, 0, -1))
+    rows = [x for x in lam.parts if x > 0]
+    l = [x + len(rows) - i for i, x in enumerate(rows, start=1)]
+    zeros = lam.m - len(rows)
+    numerator = _vandermonde(l) * prod(perm(x + zeros, zeros) for x in l)
+    return numerator // prod(factorial(lam.m - i) for i in range(1, len(rows) + 1))
 
 
 def dual_weight(lam: PartitionLike, n: int, m: int | None = None) -> DualWeightResult:
@@ -169,9 +174,8 @@ def hook_syt_count(shape: PartitionLike) -> int:
     multiplicity of the irreducible GL_m summand of highest weight ``shape``
     in the n-th tensor power of the natural module, for any m >= r.
     """
-    parts = shape.parts if isinstance(shape, Partition) else tuple(map(operator.index, shape))
-    if any(a < b for a, b in zip(parts, parts[1:])) or (parts and parts[-1] < 0):
-        raise InvalidPartitionError(f"{tuple(parts)} is not a partition")
-    rows = [x for x in parts if x > 0]
+    if not isinstance(shape, Partition):
+        shape = _as_partition((*shape, 0))  # the extra 0 gives the empty shape rank 1
+    rows = [x for x in shape.parts if x > 0]
     l = [x + len(rows) - i for i, x in enumerate(rows, start=1)]
     return factorial(sum(rows)) * _vandermonde(l) // prod(map(factorial, l))

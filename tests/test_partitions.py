@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -138,6 +138,30 @@ def test_weyl_dimension_frozen_values():
         assert weyl_dimension(parts, m) == expected
     for m in range(1, 7):
         assert weyl_dimension((1,), m) == m  # the natural module
+
+
+def weyl_quotient(lam):
+    """Weyl's dimension as Vandermonde(lam_i - i) / Vandermonde(m - i), over all pairs."""
+
+    def vandermonde(l):
+        return prod(a - b for i, a in enumerate(l) for b in l[i + 1 :])
+
+    shifted = [x - i for i, x in enumerate(lam.parts)]
+    return vandermonde(shifted) // vandermonde(range(lam.m, 0, -1))
+
+
+def test_weyl_dimension_matches_the_full_quotient():
+    # Every shape with at most 9 rows and parts at most 5, zero rows included.
+    for m in range(1, 10):
+        for rows in combinations_with_replacement(range(6), m):
+            lam = Partition(rows[::-1], m)
+            assert weyl_dimension(lam) == weyl_quotient(lam)
+
+
+@pytest.mark.parametrize("m", [1000, 5000])
+def test_weyl_dimension_many_rows(m):
+    # For the shape (2, 1), Weyl's product reduces to m(m-1)(m+1)/3.
+    assert weyl_dimension(Partition((2, 1), m)) == m * (m - 1) * (m + 1) // 3
 
 
 @given(partition_strategy())

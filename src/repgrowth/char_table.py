@@ -126,6 +126,8 @@ def _reduce(n: int, dense: list) -> Scalar:
 
 def root_of_unity(n: int, k: int = 1) -> Scalar:
     """zeta_n**k = exp(2 pi i k / n), exactly."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return _reduce(n, [int(j == k % n) for j in range(n)])
 
 
@@ -241,6 +243,9 @@ class CharacterTable:
 def inner_product(table: CharacterTable, f: ClassFunction, g: ClassFunction) -> Scalar:
     """(1/|G|) sum over classes of |c| * f(c) * conj(g(c)), summed as coefficients on
     the powers of zeta_n (n the lcm of the orders of the values) and reduced once."""
+    for h in (f, g):
+        if len(h.values) != len(table.class_sizes):
+            raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(h.values)}")
     n = lcm(*map(_order, f.values + g.values))
     dense = [0] * n
     for size, fv, gv in zip(table.class_sizes, f.values, g.values):
@@ -277,6 +282,8 @@ def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
     kernel, which is what makes tensor powers of f eventually contain
     every irreducible.
     """
+    if len(f.values) != len(table.class_sizes):
+        raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(f.values)}")
     return all(v != f.values[0] for v in f.values[1:])
 
 

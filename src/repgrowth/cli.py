@@ -33,6 +33,7 @@ from .markov import (
     IntegerRingMap,
     decay_rate,
     p_of_map,
+    p_of_tensor_by,
 )
 from .modular_fusion import (
     FusionVector,
@@ -130,14 +131,10 @@ def _parse_seed(p: int, text: str) -> FusionVector:
 
 def _cmd_pieri(args) -> CommandResult:
     d = tensor_power_decomposition(args.m, args.n)
-    if args.canonical:
-        merged: dict = {}
-        for lam, mult in d.mults.items():
-            key = canonicalize(lam).canonical
-            merged[key] = merged.get(key, 0) + mult
-        items = sorted(merged.items(), key=lambda kv: kv[0].parts, reverse=True)
-    else:
-        items = list(d.mults.items())
+    items = list(d.mults.items())
+    if args.canonical:  # only relabels: two partitions of n never differ by c * (1, ..., 1)
+        items = [(canonicalize(lam).canonical, mult) for lam, mult in items]
+        items.sort(key=lambda kv: kv[0].parts, reverse=True)
     return CommandResult(
         {"mults": {str(lam): mult for lam, mult in items}},
         [f"{lam}: {mult}" for lam, mult in items],
@@ -221,7 +218,7 @@ def _cmd_markov(args) -> CommandResult:
     tensor_by = IntegerRingMap(args.p, fusion_matrix(seed))
     one_step = p_of_map(tensor_by)
     powered = p_of_map(tensor_by**args.power)
-    direct = p_of_map(IntegerRingMap(args.p, fusion_matrix(tensor_power(seed, args.power))))
+    direct = p_of_tensor_by(tensor_power(seed, args.power))
     result = {"seed": list(seed.coeffs), "power": args.power}
     lines = _matrix_lines(
         [

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
 from math import isqrt
 
 from .growth import GrowthSeries
 
 
-@cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -57,40 +55,38 @@ def basis_vector(p: int, i: int) -> FusionVector:
     return FusionVector(p, tuple(int(j == i) for j in range(p)))
 
 
-@cache
 def fuse_basis(p: int, m: int, n: int) -> FusionVector:
-    """Decompose V_m (x) V_n over Z/pZ in characteristic p.
-
-    d = max(0, m + n - (p - 2)) copies of the projective V_{p-1} split off, and
-    the rest is the Clebsch-Gordan ladder V_|m-n| + V_|m-n|+2 + ... + V_{m+n-2d},
-    empty when min(m, n) < d.  At m + n = p - 1 the one projective is the top
-    term of the characteristic-zero ladder V_|m-n| + ... + V_{m+n}.
-    """
+    """Decompose V_m (x) V_n over Z/pZ in characteristic p (see ``fuse``)."""
     require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
-    d = max(0, m + n - (p - 2))
-    coeffs = [0] * p
-    coeffs[p - 1] = d
-    for j in range(abs(m - n), m + n - 2 * d + 1, 2):
-        coeffs[j] = 1
-    return FusionVector(p, tuple(coeffs))
+    return fuse(basis_vector(p, m), basis_vector(p, n))
 
 
 def fuse(a: FusionVector, b: FusionVector) -> FusionVector:
-    """Tensor product in the representation ring, extended bilinearly."""
+    """Tensor product in the representation ring, extended bilinearly.
+
+    V_i (x) V_j splits off d = max(0, i + j - (p - 2)) copies of the projective
+    V_{p-1}, and the rest is the Clebsch-Gordan ladder V_|i-j| + V_|i-j|+2 + ...
+    + V_{i+j-2d}, empty when min(i, j) < d.  At i + j = p - 1 the one projective
+    is the top term of the characteristic-zero ladder V_|i-j| + ... + V_{i+j}.
+    """
     if a.p != b.p:
         raise ValueError(f"mismatched primes {a.p} and {b.p}")
-    coeffs = [0] * a.p
+    p = a.p
+    coeffs = [0] * p
     for i, ai in enumerate(a.coeffs):
         if not ai:
             continue
         for j, bj in enumerate(b.coeffs):
             if not bj:
                 continue
-            for k, ck in enumerate(fuse_basis(a.p, i, j).coeffs):
-                coeffs[k] += ai * bj * ck
-    return FusionVector(a.p, tuple(coeffs))
+            c = ai * bj
+            d = max(0, i + j - (p - 2))
+            coeffs[p - 1] += c * d
+            for k in range(abs(i - j), i + j - 2 * d + 1, 2):
+                coeffs[k] += c
+    return FusionVector(p, tuple(coeffs))
 
 
 def tensor_power(v: FusionVector, n: int) -> FusionVector:
@@ -128,7 +124,7 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
         raise ValueError(f"step must be at least 1, got {step}")
     if max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    block = [(j, c) for j, c in enumerate(tensor_power(v, step).coeffs[: v.p - 1]) if c]
+    block = tensor_power(v, step)
     columns: dict[int, list[tuple[int, int]]] = {}
     current = {0: 1}
     values = []
@@ -136,8 +132,7 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
         following: dict[int, int] = {}
         for i, a in current.items():
             if i not in columns:
-                ladders = [(c, fuse_basis(v.p, i, j).coeffs) for j, c in block]
-                column = (sum(c * ladder[k] for c, ladder in ladders) for k in range(v.p - 1))
+                column = fuse(basis_vector(v.p, i), block).coeffs[: v.p - 1]
                 columns[i] = [(k, m) for k, m in enumerate(column) if m]
             for k, m in columns[i]:
                 following[k] = following.get(k, 0) + a * m

@@ -85,6 +85,23 @@ def test_decompose_rejects_non_characters():
         decompose(s3, ClassFunction((Fraction(-1), Fraction(1), Fraction(-1))))
 
 
+def test_class_count_is_checked_against_the_table():
+    s3 = builtin_table("s3")
+    short, long = ClassFunction((1,)), ClassFunction((1, 1, 1, 1))
+    std = s3.irreps[s3.irrep_index("std")]
+    calls = [
+        lambda: inner_product(s3, short, short),
+        lambda: inner_product(s3, std, long),
+        lambda: decompose(s3, short),
+        lambda: is_faithful(s3, short),
+        lambda: first_power_containing(s3, short, 0, 6),
+        lambda: min_power_containing_regular(s3, long),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"expected 3 class values, got [14]$"):
+            call()
+
+
 def test_decompose_identities_across_builtins():
     for name in BUILTINS:
         table = builtin_table(name)
@@ -417,6 +434,12 @@ def test_cyclotomic_conjugation_and_complex_oracle(xd, yd):
     assert abs(_evaluate(x.conjugate()) - x_direct.conjugate()) < 1e-9
     assert abs(_evaluate(x + y) - (x_direct + y_direct)) < 1e-9
     assert abs(_evaluate(x * y) - x_direct * y_direct) < 1e-8
+
+
+def test_root_of_unity_rejects_orders_below_one():
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            root_of_unity(n)
 
 
 def test_cyclotomic_mixed_orders_and_degrees():

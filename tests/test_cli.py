@@ -13,6 +13,8 @@ import pytest
 import repgrowth.cli as cli
 from repgrowth import char_table
 from repgrowth.modular_fusion import basis_vector
+from repgrowth.partitions import canonicalize
+from repgrowth.pieri import tensor_power_decomposition
 
 S3_TEXT = """\
 6 3
@@ -52,6 +54,14 @@ def test_pieri_canonical_merges_classes(capsys):
     code, out, _ = run(["pieri", "--m", "2", "--n", "4", "--canonical"], capsys)
     assert code == 0
     assert out == "(4): 1\n(2): 3\n(): 2\n"
+
+
+def test_pieri_canonical_labels_of_one_decomposition_are_distinct():
+    # --canonical relabels without merging: partitions of one n never differ by c * (1, ..., 1).
+    for m in range(1, 7):
+        for n in range(21):
+            shapes = tensor_power_decomposition(m, n).mults
+            assert len({canonicalize(lam).canonical for lam in shapes}) == len(shapes), (m, n)
 
 
 def test_pieri_csv_output(capsys):

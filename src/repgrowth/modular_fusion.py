@@ -3,15 +3,16 @@
 There are exactly p indecomposable modules V_0, ..., V_{p-1}, with dim V_i =
 i + 1 (V_i is a single Jordan block of size i + 1 for a generator).  Tensor
 products decompose by a closed-form rule; ``jordan_oracle`` re-derives the
-same decomposition independently from the image chain of the nilpotent
-J (x) J - I over F_p, applied as a three-term stencil; the tests compare both.
+same decomposition independently, as the Jordan type of x + y on
+F_p[x,y]/(x^(m+1), y^(n+1)), from the ranks of its degree blocks; the tests
+compare both.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 from .growth import GrowthSeries
 
@@ -165,30 +166,35 @@ def _echelon(vectors: list[list[int]], p: int) -> list[list[int]]:
 def jordan_oracle(p: int, m: int, n: int) -> FusionVector:
     """Decompose V_m (x) V_n from scratch, bypassing the closed-form rule.
 
-    N = J_{m+1} (x) J_{n+1} - I over F_p (J unipotent Jordan blocks, N**p = 0)
-    acts as a stencil: e_(a,b) maps to e_(a-1,b) + e_(a,b-1) + e_(a-1,b-1).
-    From the standard basis, r_s = rank(N**s) is the dimension of the image
-    chain im(N**(s+1)) = N im(N**s).  There are exactly r_{s-1} - 2*r_s + r_{s+1}
+    V_m (x) V_n is A = F_p[x,y]/(x^(m+1), y^(n+1)), with the generator acting
+    as multiplication by (1+x)(1+y), so the nilpotent part is x + y + xy.  The
+    automorphism y -> y(1+x) of A (1+x is a unit) carries x + y to x + y + xy,
+    so L = x + y has the same Jordan type.  L is homogeneous of degree 1, so
+    r_s = rank(L**s) is the sum over degrees d of the ranks of the blocks
+    A_d -> A_(d+s), which send x^i y^(d-i) to the sum over t of
+    C(s, t-i) x^t y^(d+s-t).  There are exactly r_{s-1} - 2*r_s + r_{s+1}
     Jordan blocks of size s, and a size-s block is a copy of V_{s-1}.
     """
     require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
-    width, size = n + 1, (m + 1) * (n + 1)
 
-    def apply_n(v: list[int]) -> list[int]:
-        # (N v)(a, b) = v(a+1, b) + v(a, b+1) + v(a+1, b+1); off-grid terms are 0.
-        down = v[width:] + [0] * width  # v(a+1, b)
-        both = [x + y for x, y in zip(v, down)]  # v(a, b) + v(a+1, b)
-        return [d + (both[i + 1] if (i + 1) % width else 0) for i, d in enumerate(down)]
+    def rank(s: int) -> int:
+        total = 0
+        for d in range(m + n - s + 1):
+            targets = range(max(0, d + s - n), min(m, d + s) + 1)
+            block = [
+                [comb(s, t - i) if i <= t <= i + s else 0 for t in targets]
+                for i in range(max(0, d - n), min(m, d) + 1)
+            ]
+            total += len(_echelon(block, p))
+        return total
 
-    image = [[int(i == j) for j in range(size)] for i in range(size)]
-    ranks = [size]
+    ranks = [(m + 1) * (n + 1)]
     while ranks[-1] and len(ranks) <= p:
-        image = _echelon([apply_n(v) for v in image], p)
-        ranks.append(len(image))
+        ranks.append(rank(len(ranks)))
     if len(ranks) == p + 1 and ranks[p] != 0:
-        raise ArithmeticError(f"N**{p} is nonzero; ranks {ranks}")
+        raise ArithmeticError(f"L**{p} is nonzero; ranks {ranks}")
     ranks.extend([0] * (p + 2 - len(ranks)))  # pad through r_{p+1}
     coeffs = tuple(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] for s in range(1, p + 1))
     return FusionVector(p, coeffs)

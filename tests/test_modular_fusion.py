@@ -1,12 +1,13 @@
 """Fusion rules for Z/pZ in characteristic p, cross-checked against Jordan forms."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth import modular_fusion
 from repgrowth.modular_fusion import (
     FusionVector,
+    _echelon,
     basis_vector,
     fuse,
     fuse_basis,
@@ -51,11 +52,56 @@ def test_fuse_basis_examples():
     assert fuse_basis(7, 2, 3).coeffs == (0, 1, 0, 1, 0, 1, 0)  # ladder V1+V3+V5
 
 
+def stencil_oracle(p, m, n):
+    """V_m (x) V_n from the image chain of N = J_{m+1} (x) J_{n+1} - I over F_p.
+
+    N acts as a stencil: e_(a,b) maps to e_(a-1,b) + e_(a,b-1) + e_(a-1,b-1).
+    From the standard basis, r_s = rank(N**s) is the dimension of the image
+    chain im(N**(s+1)) = N im(N**s), and there are r_{s-1} - 2*r_s + r_{s+1}
+    Jordan blocks of size s.  It shares only ``_echelon`` with the library.
+    """
+    width, size = n + 1, (m + 1) * (n + 1)
+
+    def apply_n(v):
+        # (N v)(a, b) = v(a+1, b) + v(a, b+1) + v(a+1, b+1); off-grid terms are 0.
+        down = v[width:] + [0] * width  # v(a+1, b)
+        both = [x + y for x, y in zip(v, down)]  # v(a, b) + v(a+1, b)
+        return [d + (both[i + 1] if (i + 1) % width else 0) for i, d in enumerate(down)]
+
+    image = [[int(i == j) for j in range(size)] for i in range(size)]
+    ranks = [size]
+    while ranks[-1]:
+        image = _echelon([apply_n(v) for v in image], p)
+        ranks.append(len(image))
+    assert len(ranks) <= p + 1, ranks  # N**p = 0
+    ranks.extend([0] * (p + 2 - len(ranks)))
+    coeffs = tuple(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] for s in range(1, p + 1))
+    return FusionVector(p, coeffs)
+
+
 def test_fuse_basis_whole_table_matches_jordan_oracle():
     for p in (2, 3, 5, 7, 11, 13):
         for m in range(p):
             for n in range(p):
-                assert fuse_basis(p, m, n) == jordan_oracle(p, m, n), (p, m, n)
+                closed = fuse_basis(p, m, n)
+                assert closed == jordan_oracle(p, m, n) == stencil_oracle(p, m, n), (p, m, n)
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    st.sampled_from([p for p in range(62) if is_prime(p)]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, p - 1), st.integers(0, p - 1))
+    )
+)
+def test_jordan_oracle_matches_fuse_past_p13(pmn):
+    assert jordan_oracle(*pmn) == fuse_basis(*pmn)
+
+
+def test_jordan_oracle_large_pairs():
+    big = jordan_oracle(31, 15, 29)  # 15*V30 + V14
+    assert big == fuse_basis(31, 15, 29) and (big.coeffs[30], big.coeffs[14]) == (15, 1)
+    big = jordan_oracle(53, 26, 51)  # 26*V52 + V25
+    assert big == fuse_basis(53, 26, 51) and (big.coeffs[52], big.coeffs[25]) == (26, 1)
 
 
 def test_fuse_basis_structure():
@@ -79,6 +125,13 @@ def test_jordan_oracle_validates():
         jordan_oracle(4, 1, 1)
     with pytest.raises(ValueError):
         jordan_oracle(5, 5, 0)
+
+
+def test_jordan_oracle_refuses_a_rank_chain_that_does_not_reach_zero(monkeypatch):
+    # With every binomial read as 1, L**p is nonzero and the check must fire.
+    monkeypatch.setattr(modular_fusion, "comb", lambda s, k: 1)
+    with pytest.raises(ArithmeticError):
+        jordan_oracle(5, 4, 4)
 
 
 def test_fuse_bilinear_examples():

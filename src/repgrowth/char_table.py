@@ -3,17 +3,20 @@
 A rational value is an ``int`` or ``Fraction`` and an irrational one a
 ``Cyclotomic``, so rational tables run on Python's own numbers.  Multiplicities
 come from the inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check
-on a table or a multiplicity is an exact equality.
+on a table or a multiplicity is an exact equality.  A table keeps each row as
+its zeta_n-term columns over the classes, built once, so pairings are column
+dot products and validation is one exact Gram check.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 
 
 def _divmod(num: list, den: tuple[int, ...]) -> tuple[list, list]:
@@ -178,13 +181,17 @@ class CharacterTable:
     Validated on construction: the identity class (size 1) comes first, class
     sizes sum to the group order, degrees are positive integers, the rows are
     orthonormal for the standard inner product, and squared degrees sum to
-    the group order (so the listed irreducibles are all of them).
+    the group order (so the listed irreducibles are all of them).  Orthonormality
+    is the Gram check sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, exact, on
+    the rows' zeta_n-term columns (n the lcm of all value orders), kept for decompose.
     """
 
     group_order: int
     class_sizes: tuple[int, ...]
     irrep_names: tuple[str, ...]
     irreps: tuple[ClassFunction, ...]
+    _n: int = field(init=False, repr=False, compare=False)
+    _row_columns: tuple[dict[int, list], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.class_sizes)
@@ -208,10 +215,15 @@ class CharacterTable:
                 raise InvalidCharacterError(f"{name} has degree {chi.values[0]}")
         if sum(self.degree(i) ** 2 for i in range(k)) != self.group_order:
             raise InvalidCharacterError("squared degrees do not sum to the group order")
+        n = lcm(*(_order(v) for chi in self.irreps for v in chi.values))
+        columns = tuple(_columns(chi.values, n) for chi in self.irreps)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_row_columns", columns)
         for i in range(k):
+            sized = _sized(columns[i], self.class_sizes)
             for j in range(i, k):
-                got = inner_product(self, self.irreps[i], self.irreps[j])
-                if got != (1 if i == j else 0):
+                if _reduce(n, _pair(sized, columns[j], n)) != (self.group_order if i == j else 0):
+                    got = inner_product(self, self.irreps[i], self.irreps[j])
                     raise InvalidCharacterError(
                         f"rows {self.irrep_names[i]}, {self.irrep_names[j]} "
                         f"have inner product {got}"
@@ -240,19 +252,37 @@ class CharacterTable:
             ) from None
 
 
+def _columns(values: tuple[Scalar, ...], n: int) -> dict[int, list]:
+    """{e: the coefficient of zeta_n**e in each value}, for the exponents e in use."""
+    terms = [dict(_terms(value, n)) for value in values]
+    return {e: [t.get(e, 0) for t in terms] for e in set().union(*terms)}
+
+
+def _sized(columns: dict[int, list], sizes: tuple[int, ...]) -> dict[int, list]:
+    return {e: list(map(mul, column, sizes)) for e, column in columns.items()}
+
+
+def _pair(sized: dict[int, list], columns: dict[int, list], n: int) -> list:
+    """sum_c |c| f(c) conj(g(c)) on the powers of zeta_n, from f's sized columns and g's."""
+    dense = [0] * n
+    for e, left in sized.items():
+        for d, right in columns.items():
+            dense[(e - d) % n] += sum(map(mul, left, right))
+    return dense
+
+
+def _check_length(table: CharacterTable, *functions: ClassFunction) -> None:
+    for h in functions:
+        if len(h.values) != len(table.class_sizes):
+            raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(h.values)}")
+
+
 def inner_product(table: CharacterTable, f: ClassFunction, g: ClassFunction) -> Scalar:
     """(1/|G|) sum over classes of |c| * f(c) * conj(g(c)), summed as coefficients on
     the powers of zeta_n (n the lcm of the orders of the values) and reduced once."""
-    for h in (f, g):
-        if len(h.values) != len(table.class_sizes):
-            raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(h.values)}")
+    _check_length(table, f, g)
     n = lcm(*map(_order, f.values + g.values))
-    dense = [0] * n
-    for size, fv, gv in zip(table.class_sizes, f.values, g.values):
-        conj = [(-j % n, size * b) for j, b in _terms(gv, n)]
-        for i, a in _terms(fv, n):
-            for j, b in conj:
-                dense[(i + j) % n] += a * b
+    dense = _pair(_sized(_columns(f.values, n), table.class_sizes), _columns(g.values, n), n)
     return _reduce(n, [Fraction(c, table.group_order) for c in dense])
 
 
@@ -262,17 +292,26 @@ def decompose(table: CharacterTable, f: ClassFunction) -> tuple[int, ...]:
     Raises InvalidCharacterError when any inner product is not a non-negative
     integer: such an f is not a character of this group.
     """
-    return tuple(_multiplicity(table, f, i) for i in range(len(table.irreps)))
+    return _multiplicities(table, f, range(len(table.irreps)))
 
 
-def _multiplicity(table: CharacterTable, f: ClassFunction, index: int) -> int:
-    value = inner_product(table, f, table.irreps[index])
-    mult = _integer(value)
-    if mult is None or mult < 0:
-        raise InvalidCharacterError(
-            f"multiplicity of {table.irrep_names[index]} is {value}, not a non-negative integer"
-        )
-    return mult
+def _multiplicities(table: CharacterTable, f: ClassFunction, indices: range) -> tuple[int, ...]:
+    """f's columns, built once, paired with the cached columns of each indexed row."""
+    _check_length(table, f)
+    n = lcm(table._n, *map(_order, f.values))
+    sized, scale = _sized(_columns(f.values, n), table.class_sizes), n // table._n
+    mults = []
+    for index in indices:
+        row = {e * scale: column for e, column in table._row_columns[index].items()}
+        total = _integer(_reduce(n, _pair(sized, row, n)))
+        if total is None or total < 0 or total % table.group_order:
+            value = inner_product(table, f, table.irreps[index])
+            raise InvalidCharacterError(
+                f"multiplicity of {table.irrep_names[index]} is {value}, "
+                "not a non-negative integer"
+            )
+        mults.append(total // table.group_order)
+    return tuple(mults)
 
 
 def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
@@ -282,8 +321,7 @@ def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
     kernel, which is what makes tensor powers of f eventually contain
     every irreducible.
     """
-    if len(f.values) != len(table.class_sizes):
-        raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(f.values)}")
+    _check_length(table, f)
     return all(v != f.values[0] for v in f.values[1:])
 
 
@@ -306,7 +344,7 @@ def first_power_containing(
     power = f
     for d in range(2, max_d + 1):
         power = power * f
-        if _multiplicity(table, power, target):
+        if _multiplicities(table, power, range(target, target + 1))[0]:
             return d
     return None
 
@@ -441,7 +479,7 @@ def _parse_value(token: str, line: int) -> Scalar:
     if match is None:
         raise TableParseError(line, f"malformed value {token!r}")
     real, imag = (Fraction(p) if "/" in p else int(p) for p in match.groupdict("0").values())
-    return real + imag * root_of_unity(4) if match.group("im") else real
+    return Cyclotomic(4, (real, imag)) if imag else real  # 1 + x^2 = Phi_4: (a, b) is reduced
 
 
 def _parse_int(token: str, line: int, what: str) -> int:

@@ -149,13 +149,12 @@ def test_first_power_containing_z3_and_not_found():
 
 
 def test_first_power_decomposes_once_then_reads_only_the_target(monkeypatch):
+    # Every pairing of a class function with a row goes through _pair.
     s4 = builtin_table("s4")
     std, sign = s4.irrep_index("std"), s4.irrep_index("sign")
     calls = []
-    original = char_table.inner_product
-    monkeypatch.setattr(
-        char_table, "inner_product", lambda *args: calls.append(1) or original(*args)
-    )
+    original = char_table._pair
+    monkeypatch.setattr(char_table, "_pair", lambda *args: calls.append(1) or original(*args))
     d = first_power_containing(s4, s4.irreps[std], sign, s4.group_order)
     assert d == 3 and len(calls) == len(s4.irreps) + d - 1
     not_a_character = ClassFunction((3, 1, -1, 0, 2))  # faithful; (f, triv) = 3/4
@@ -453,3 +452,103 @@ def test_cyclotomic_mixed_orders_and_degrees():
         assert len(char_table._cyclotomic_poly(n)) - 1 == phi
         # A rational result is a plain number, never a Cyclotomic.
         assert isinstance(sum(root_of_unity(n, k) for k in range(n)), (int, Fraction))
+
+
+# --- Gram check and decompose against the pairwise inner product ------------
+
+
+def _number_token(draw):
+    numerator = draw(st.integers(-9, 9))
+    if draw(st.booleans()):
+        return f"{numerator}/{draw(st.integers(1, 6))}"
+    return str(numerator)
+
+
+@given(st.data())
+def test_parse_value_reads_a_plus_bi_directly(data):
+    real, imag = _number_token(data.draw), _number_token(data.draw)
+    token = f"{real}{'' if imag[0] == '-' else '+'}{imag}i"
+    parsed = char_table._parse_value(token, 1)
+    a, b = (Fraction(p) if "/" in p else int(p) for p in (real, imag))
+    expected = a + b * root_of_unity(4)
+    assert parsed == expected and type(parsed) is type(expected)
+    assert str(parsed) == str(expected)
+
+
+def _with_value(table, row, column, value):
+    """The table's rows with one value replaced, unvalidated."""
+    rows = [list(chi.values) for chi in table.irreps]
+    rows[row][column] = value
+    return tuple(ClassFunction(tuple(values)) for values in rows)
+
+
+def test_rejection_reports_the_pair_value_at_its_own_order():
+    # The table's values reach order 12, but each message is reduced at the lcm of
+    # the orders in its two rows; the strings are those of the pairwise sum.
+    z4 = builtin_table("z4")
+    cases = [
+        (2, "rows triv, chi2 have inner product -1/4*z3^1"),
+        (1, "rows triv, chi1 have inner product -1/4*z12^2 + 1/4*z12^3"),
+    ]
+    for row, message in cases:
+        rows = _with_value(z4, row, 1, root_of_unity(3))
+        with pytest.raises(InvalidCharacterError) as excinfo:
+            CharacterTable(4, z4.class_sizes, z4.irrep_names, rows)
+        assert str(excinfo.value) == message
+    with pytest.raises(InvalidCharacterError) as excinfo:
+        decompose(z4, ClassFunction((1, root_of_unity(3), 1, 1)))
+    message = "multiplicity of triv is 3/4 + 1/4*z3^1, not a non-negative integer"
+    assert str(excinfo.value) == message
+    s4 = builtin_table("s4")
+    with pytest.raises(InvalidCharacterError) as excinfo:
+        decompose(s4, ClassFunction((3, 1, -1, 0, 2)))
+    assert str(excinfo.value) == "multiplicity of triv is 3/4, not a non-negative integer"
+
+
+PERTURBED_TABLES = [builtin_table(name) for name in ("z3", "z4", "s3", "s4", "d4")]
+PERTURBED_TABLES.append(load_table(_product_table_text(Z4_TEXT, S3_TEXT)))
+SHIFTS = (0, 1, -1, Fraction(1, 2), root_of_unity(3), root_of_unity(4), root_of_unity(4, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_gram_check_agrees_with_the_pairwise_inner_products(data):
+    table = data.draw(st.sampled_from(PERTURBED_TABLES))
+    k = len(table.irreps)
+    row, column = data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, k - 1))
+    if data.draw(st.booleans()):  # a value of another row, so the rows may still be orthonormal
+        value = table.irreps[data.draw(st.integers(0, k - 1))].values[column]
+    else:
+        value = table.irreps[row].values[column] + data.draw(st.sampled_from(SHIFTS))
+    rows = _with_value(table, row, column, value)
+    failures = [
+        (i, j, got)
+        for i in range(k)
+        for j in range(i, k)
+        if (got := inner_product(table, rows[i], rows[j])) != (1 if i == j else 0)
+    ]
+    build = lambda: CharacterTable(table.group_order, table.class_sizes, table.irrep_names, rows)
+    if failures:
+        i, j, got = failures[0]
+        with pytest.raises(InvalidCharacterError) as excinfo:
+            build()
+        names = table.irrep_names
+        assert str(excinfo.value) == f"rows {names[i]}, {names[j]} have inner product {got}"
+    else:
+        build()
+
+
+def test_decompose_matches_per_row_inner_products():
+    # v + zeta_5 - zeta_5 is v held at order 5 * order(v): f's columns then live at a
+    # multiple of the table's common order, and the rows' columns must follow.
+    z5 = root_of_unity(5)
+    for name in BUILTINS:
+        table = builtin_table(name)
+        for chi in table.irreps:
+            one_plus = ClassFunction(tuple(1 + v for v in chi.values))
+            lifted = ClassFunction(tuple(v + z5 - z5 for v in chi.values))
+            for f in (chi, one_plus, lifted):
+                for power in range(7):
+                    g = tensor_power_char(f, power)
+                    expected = tuple(inner_product(table, g, row) for row in table.irreps)
+                    assert decompose(table, g) == expected

@@ -79,6 +79,37 @@ def stencil_oracle(p, m, n):
     return FusionVector(p, coeffs)
 
 
+def images_ts(v, n):
+    """ts(v^(x)n) by the method of images: -1/2 sum_{j = 0 mod 2p} [q^j] (q - 1/q)^2 chi(q)^n.
+
+    chi is the characteristic-0 SL_2 character of v, sum_i a_i (q^i + q^(i-2) + ... + q^-i).
+    Shifted by the highest weight t of v (at most p - 1), q^t chi(q) is a polynomial
+    with non-negative coefficients, and its n-th power comes out of one integer power
+    by Kronecker substitution: base-256**size digits, 256**size > dim(v)**n bounding
+    each coefficient; [q^j] chi^n is digit j + n*t.  The sum reads no fusion rule.
+    """
+    t = max(i for i, a in enumerate(v.coeffs) if a)
+    poly = [0] * (2 * t + 1)
+    for i, a in enumerate(v.coeffs[: t + 1]):
+        for k in range(t - i, t + i + 1, 2):
+            poly[k] += a
+    size = (v.dimension**n).bit_length() // 8 + 1
+    power = sum(c << (8 * size * k) for k, c in enumerate(poly)) ** n
+    raw = power.to_bytes((2 * t * n + 1) * size, "little")
+
+    def coeff(j):
+        k = j + n * t
+        if not 0 <= k <= 2 * n * t:
+            return 0
+        return int.from_bytes(raw[k * size : (k + 1) * size], "little")
+
+    period, reach = 2 * v.p, n * t + 2  # coeff(j - 2) or coeff(j + 2) may be nonzero
+    images = range(-(reach // period) * period, reach + 1, period)
+    twice = sum(2 * coeff(j) - coeff(j - 2) - coeff(j + 2) for j in images)
+    assert twice % 2 == 0
+    return twice // 2
+
+
 def test_fuse_basis_whole_table_matches_jordan_oracle():
     for p in (2, 3, 5, 7, 11, 13):
         for m in range(p):
@@ -257,3 +288,23 @@ def test_ts_series_matches_tensor_power():
         series = ts_series_modular(v, step, 5)
         for k, a in enumerate(series.values, start=1):
             assert a == ts(tensor_power(v, step * k))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+        lambda p: st.lists(st.integers(0, 3), min_size=p, max_size=p).filter(any)
+    ),
+    st.integers(0, 9),
+)
+def test_method_of_images_matches_tensor_power(coeffs, n):
+    v = FusionVector(len(coeffs), tuple(coeffs))
+    assert images_ts(v, n) == ts(tensor_power(v, n))
+
+
+def test_method_of_images_matches_ts_series_modular():
+    v = FusionVector(53, tuple(int(i in (2, 5)) for i in range(53)))  # V2 + V5
+    series = ts_series_modular(v, 2, 40)
+    assert series.values == tuple(images_ts(v, 2 * k) for k in range(1, 41))
+    series = ts_series_modular(basis_vector(101, 1), 1, 400)
+    assert series.values == tuple(images_ts(basis_vector(101, 1), k) for k in range(1, 401))

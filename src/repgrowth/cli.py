@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,23 +105,21 @@ def _matrix_lines(matrices, result: dict) -> list[str]:
     return [f"{label} = {_matrix_str(matrix.rows)}" for label, _, matrix in matrices]
 
 
+_SEED_TERM = re.compile(r"\s*(?:(\d+)\s*\*\s*)?V(\d+)\s*", re.ASCII)
+
+
 def _parse_seed(p: int, text: str) -> FusionVector:
-    """Parse seeds like 'V1', '2*V2', 'V0+3*V1'."""
+    """Parse seeds like 'V1', '2*V2', 'V0 + 3*V1': terms [count*]V<index> in ASCII digits."""
     require_prime(p)
     coeffs = [0] * p
     for term in text.split("+"):
-        term = term.strip()
-        head, sep, tail = term.partition("*")
-        if sep:
-            count_text, index_text = head.strip(), tail.strip()
-        else:
-            count_text, index_text = "1", term
-        if not (index_text.startswith("V") and index_text[1:].isdigit() and count_text.isdigit()):
-            raise UsageError(f"malformed seed term {term!r}")
-        index = int(index_text[1:])
+        match = _SEED_TERM.fullmatch(term)
+        if match is None:
+            raise UsageError(f"malformed seed term {term.strip()!r}")
+        index = int(match[2])
         if index >= p:
-            raise UsageError(f"seed term {term!r} exceeds V{p - 1}")
-        coeffs[index] += int(count_text)
+            raise UsageError(f"seed term {term.strip()!r} exceeds V{p - 1}")
+        coeffs[index] += int(match[1] or 1)
     if not any(coeffs):
         raise UsageError(f"seed {text!r} is zero")
     return FusionVector(p, tuple(coeffs))
@@ -183,8 +182,6 @@ def _cmd_fusion(args) -> CommandResult:
 
 def _cmd_markov(args) -> CommandResult:
     if args.example:
-        if args.seed is not None:
-            raise UsageError("--example does not take --seed")
         if args.p != 2:
             raise UsageError("the worked non-multiplicativity example needs --p 2")
         s = IntegerRingMap(2, ((2, 1), (0, 1)))
@@ -210,8 +207,6 @@ def _cmd_markov(args) -> CommandResult:
             lines.append("P(S^2) != P(S)^2: P is not multiplicative for this map")
         example = {"p": 2, "example": True}
         return CommandResult(result, lines, exit_code=1 if multiplicative else 0, params=example)
-    if args.seed is None:
-        raise UsageError("need --seed V... or --example")
     if args.power < 1:
         raise UsageError(f"--power must be at least 1, got {args.power}")
     seed = _parse_seed(args.p, args.seed)
@@ -243,15 +238,11 @@ def _cmd_markov(args) -> CommandResult:
 
 def _cmd_torus(args) -> CommandResult:
     if args.diagonal:
-        if args.weights is not None:
-            raise UsageError("--diagonal does not take --weights")
         if args.m is None or args.m < 1:
             raise UsageError("--diagonal needs --m with m >= 1")
         count = diagonal_zero_count(args.m, args.n)
         params = {"diagonal": True, "m": args.m, "n": args.n}
         return CommandResult({"count": count}, [f"count = {count}"], params=params)
-    if args.weights is None:
-        raise UsageError("need --weights k1,k2,... or --diagonal")
     try:
         weights = tuple(int(token) for token in args.weights.split(","))
     except ValueError:
@@ -361,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     fusion.set_defaults(handler=_cmd_fusion)
 
     markov = sub.add_parser("markov", help="dimension-ratio transition matrices")
+    markov_mode = markov.add_mutually_exclusive_group(required=True)
     markov.add_argument("--p", type=int, required=True)
-    markov.add_argument("--seed", help="tensor by this fusion vector, e.g. V1")
+    markov_mode.add_argument("--seed", help="tensor by this fusion vector, e.g. V1")
     markov.add_argument("--power", type=int, default=1)
-    markov.add_argument(
+    markov_mode.add_argument(
         "--example",
         action="store_true",
         help="show the additive map where P fails to be multiplicative",
@@ -373,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     markov.set_defaults(handler=_cmd_markov)
 
     torus = sub.add_parser("torus", help="zero-weight counts for torus actions")
-    torus.add_argument("--weights", help="comma-separated integers, e.g. 2,-1")
+    torus_mode = torus.add_mutually_exclusive_group(required=True)
+    torus_mode.add_argument("--weights", help="comma-separated integers, e.g. 2,-1")
     torus.add_argument("--n", type=int, required=True, help="tensor degree multiplier")
-    torus.add_argument(
+    torus_mode.add_argument(
         "--diagonal",
         action="store_true",
         help="full diagonal torus of SL_m on V^(x)(m*n)",

@@ -90,19 +90,23 @@ def fuse(a: FusionVector, b: FusionVector) -> FusionVector:
     return FusionVector(p, tuple(coeffs))
 
 
-def tensor_power(v: FusionVector, n: int) -> FusionVector:
-    """n-th tensor power by repeated squaring; n = 0 gives the trivial V_0."""
+def _power(base, n: int, product, one):
+    """base**n by repeated squaring under ``product``; ``one``, for n = 0, is never a factor."""
     if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    result = basis_vector(v.p, 0)
-    base = v
+        raise ValueError(f"exponent must be non-negative, got {n}")
+    result = None
     while n:
         if n & 1:
-            result = fuse(result, base)
+            result = base if result is None else product(result, base)
         n >>= 1
         if n:
-            base = fuse(base, base)
-    return result
+            base = product(base, base)
+    return one if result is None else result
+
+
+def tensor_power(v: FusionVector, n: int) -> FusionVector:
+    """n-th tensor power by repeated squaring; n = 0 gives the trivial V_0."""
+    return _power(v, n, fuse, basis_vector(v.p, 0))
 
 
 def fusion_matrix(w: FusionVector) -> tuple[tuple[int, ...], ...]:

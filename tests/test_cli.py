@@ -273,6 +273,22 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert captured.err, argv
+    # Seed terms are [count*]V<index> in ASCII digits: "²" passes str.isdigit and
+    # the Arabic-Indic "\u0661" (one) passes int(), but neither is a seed digit.
+    for seed, term in (
+        ("V²", "V²"), ("²*V1", "²*V1"), ("V\u0661", "V\u0661"), ("\u0661*V1", "\u0661*V1"),
+        ("V1+", ""), ("V 1", "V 1"),
+    ):
+        argv = ["ts", "modular", "--p", "3", "--seed", seed, "--max", "3"]
+        assert run(argv, capsys) == (2, "", f"error: malformed seed term {term!r}\n"), seed
+
+
+def test_seed_terms_allow_spaces_and_leading_zeros(capsys):
+    for spaced, plain in ((" 2 * V1 + V0 ", "2*V1+V0"), ("V01", "V1")):
+        for command in (["ts", "modular", "--max", "4"], ["markov", "--power", "2"]):
+            expected = run(command + ["--p", "3", "--seed", plain], capsys)
+            assert expected[0] == 0 and expected[1]
+            assert run(command + ["--p", "3", "--seed", spaced], capsys) == expected
 
 
 def test_unexpected_errors_exit_3_without_traceback(capsys):

@@ -45,10 +45,14 @@ def test_ratio_vector_validates():
 
 
 def test_transition_matrix_validates_column_sums():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="column 0 sums to 2, not 1"):
         TransitionMatrix(2, ((F(1), F(1)), (F(1), F(0))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative entry in column 0"):
         TransitionMatrix(2, ((F(2), F(0)), (F(-1), F(1))))
+    with pytest.raises(ValueError, match="negative entry in column 1"):
+        TransitionMatrix(2, ((F(1), F(3, 2)), (F(0), F(-1, 2))))
+    with pytest.raises(ValueError, match="column 1 sums to 1/2, not 1"):
+        TransitionMatrix(2, ((F(1), F(1, 4)), (F(0), F(1, 4))))
 
 
 def test_q_of_examples():
@@ -94,8 +98,10 @@ def test_p_of_map_example_is_not_multiplicative():
 
 
 def test_p_of_map_rejects_zero_columns():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="column 1 of the ring map is zero"):
         p_of_map(IntegerRingMap(2, ((1, 0), (0, 0))))
+    with pytest.raises(ValueError, match="column 0 of the ring map is zero"):
+        p_of_map(IntegerRingMap(3, ((0, 1, 0), (0, 0, 0), (0, 0, 1))))
 
 
 def test_p_of_tensor_by_is_multiplicative_on_basis():
@@ -192,3 +198,10 @@ def test_integer_power_matches_tensor_power_and_fraction_product(w, k):
     for _ in range(k - 1):
         product = product @ one_step
     assert p_of_map(power) == product
+    # Both matrix kinds share one product and one squaring routine: the
+    # Fraction matrix's ** is its k-fold @ too, and IntegerRingMap @ is compose.
+    assert one_step**k == product == p_of_tensor_by(tensor_power(w, k))
+    assert one_step**0 == p_of_tensor_by(basis_vector(w.p, 0))
+    tensor_by = IntegerRingMap(w.p, fusion_matrix(w))
+    assert tensor_by @ tensor_by == tensor_by.compose(tensor_by)
+    assert (tensor_by @ tensor_by).rows == fusion_matrix(fuse(w, w))

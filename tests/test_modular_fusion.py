@@ -225,6 +225,22 @@ def test_tensor_power_examples():
         tensor_power(v1, -1)
 
 
+def test_tensor_power_squares_without_the_identity(monkeypatch):
+    # For n >= 1: bit_length - 1 squarings and bit_count - 1 products into the result.
+    calls = []
+
+    def counting_fuse(a, b):
+        calls.append(None)
+        return fuse(a, b)
+
+    monkeypatch.setattr(modular_fusion, "fuse", counting_fuse)
+    v = FusionVector(5, (1, 1, 0, 0, 0))
+    for n in (0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 100):
+        calls.clear()
+        tensor_power(v, n)
+        assert len(calls) == max(0, n.bit_length() + n.bit_count() - 2), n
+
+
 def test_tensor_power_matches_repeated_fuse():
     for p in (2, 3, 5):
         v = FusionVector(p, tuple(1 if i < 2 else 0 for i in range(p)))

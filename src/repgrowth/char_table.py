@@ -16,7 +16,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from numbers import Rational
-from operator import mul
+from operator import index, mul
+
+from ._exact import natural, power
 
 
 def _divmod(num: list, den: tuple[int, ...]) -> tuple[list, list]:
@@ -80,12 +82,7 @@ class Cyclotomic:
         return -self + other
 
     def __pow__(self, d: int):
-        if d < 0:
-            raise ValueError(f"power must be non-negative, got {d}")
-        result = 1
-        for bit in bin(d)[2:]:
-            result = result * result * self if bit == "1" else result * result
-        return result
+        return power(self, d, mul, 1)
 
     def conjugate(self):
         gap = [0] * (self.n - len(self.coeffs))  # zeta**k -> zeta**(n - k)
@@ -129,8 +126,7 @@ def _reduce(n: int, dense: list) -> Scalar:
 
 def root_of_unity(n: int, k: int = 1) -> Scalar:
     """zeta_n**k = exp(2 pi i k / n), exactly."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n, k = natural(n, "n", 1), index(k)
     return _reduce(n, [int(j == k % n) for j in range(n)])
 
 
@@ -163,8 +159,7 @@ def tensor_power_char(f: ClassFunction, d: int) -> ClassFunction:
 
     d = 0 gives the trivial (all-ones) character.
     """
-    if d < 0:
-        raise ValueError(f"power must be non-negative, got {d}")
+    d = natural(d, "power")
     return ClassFunction(tuple(v**d for v in f.values))
 
 
@@ -337,8 +332,7 @@ def first_power_containing(
         raise ValueError("character is not faithful")
     if not 0 <= target < len(table.irreps):
         raise ValueError(f"target index {target} out of range")
-    if max_d < 1:
-        raise ValueError(f"max_d must be at least 1, got {max_d}")
+    max_d = natural(max_d, "max_d", 1)
     if decompose(table, f)[target]:  # checks that f is a character, hence every power
         return 1
     power = f
@@ -382,9 +376,7 @@ def min_power_containing_regular(
     """
     if not is_faithful(table, f):
         raise ValueError("character is not faithful")
-    cap = table.group_order if max_n is None else max_n
-    if cap < 1:
-        raise ValueError(f"max_n must be at least 1, got {cap}")
+    cap = natural(table.group_order if max_n is None else max_n, "max_n", 1)
     one_plus = ClassFunction(tuple(1 + v for v in f.values))
 
     def contains_regular(n: int) -> bool:

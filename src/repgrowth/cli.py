@@ -7,7 +7,8 @@ deterministic: floats are printed with 12 significant digits, rationals
 exactly.  Input that the library rejects raises ValueError there and exits 2
 here; the handlers check only the rules that exist on the command line alone.
 The ``--json`` params are the parsed arguments, except for ``torus`` and
-``markov --example``.
+``markov``: their handlers build the params, so each required mode group can
+be declared as one adjacent group and show as ``(A | B)`` in ``--help``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._exact import natural
 from .char_table import (
     decompose,
     first_power_containing,
@@ -207,8 +209,7 @@ def _cmd_markov(args) -> CommandResult:
             lines.append("P(S^2) != P(S)^2: P is not multiplicative for this map")
         example = {"p": 2, "example": True}
         return CommandResult(result, lines, exit_code=1 if multiplicative else 0, params=example)
-    if args.power < 1:
-        raise UsageError(f"--power must be at least 1, got {args.power}")
+    natural(args.power, "--power", 1)
     seed = _parse_seed(args.p, args.seed)
     tensor_by = IntegerRingMap(args.p, fusion_matrix(seed))
     one_step = p_of_map(tensor_by)
@@ -233,7 +234,8 @@ def _cmd_markov(args) -> CommandResult:
     except HypothesisViolationError as exc:
         lines.append(f"decay_rate: unavailable ({exc})")
         result["decay_rate"] = None
-    return CommandResult(result, lines, exit_code=0 if multiplicative else 1)
+    params = {"p": args.p, "seed": args.seed, "power": args.power, "example": False}
+    return CommandResult(result, lines, exit_code=0 if multiplicative else 1, params=params)
 
 
 def _cmd_torus(args) -> CommandResult:
@@ -355,24 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
     markov_mode = markov.add_mutually_exclusive_group(required=True)
     markov.add_argument("--p", type=int, required=True)
     markov_mode.add_argument("--seed", help="tensor by this fusion vector, e.g. V1")
-    markov.add_argument("--power", type=int, default=1)
     markov_mode.add_argument(
         "--example",
         action="store_true",
         help="show the additive map where P fails to be multiplicative",
     )
+    markov.add_argument("--power", type=int, default=1)
     _output_flags(markov)
     markov.set_defaults(handler=_cmd_markov)
 
     torus = sub.add_parser("torus", help="zero-weight counts for torus actions")
     torus_mode = torus.add_mutually_exclusive_group(required=True)
     torus_mode.add_argument("--weights", help="comma-separated integers, e.g. 2,-1")
-    torus.add_argument("--n", type=int, required=True, help="tensor degree multiplier")
     torus_mode.add_argument(
         "--diagonal",
         action="store_true",
         help="full diagonal torus of SL_m on V^(x)(m*n)",
     )
+    torus.add_argument("--n", type=int, required=True, help="tensor degree multiplier")
     torus.add_argument("--m", type=int, help="rank, for --diagonal")
     _output_flags(torus)
     torus.set_defaults(handler=_cmd_torus)

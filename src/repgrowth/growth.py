@@ -6,6 +6,8 @@ import operator
 from dataclasses import dataclass
 from math import exp, log
 
+from ._exact import natural
+
 
 @dataclass(frozen=True)
 class GrowthSeries:
@@ -20,18 +22,17 @@ class GrowthSeries:
     dim_v: int
 
     def __post_init__(self) -> None:
-        if self.step < 1:
-            raise ValueError(f"step must be at least 1, got {self.step}")
-        if self.dim_v < 1:
-            raise ValueError(f"dim_v must be at least 1, got {self.dim_v}")
+        step, dim_v = natural(self.step, "step", 1), natural(self.dim_v, "dim_v", 1)
         values = tuple(map(operator.index, self.values))
         for k, a in enumerate(values, start=1):
             if a < 0:
                 raise ValueError(f"negative count {a} at position {k}")
-            if a > self.dim_v ** (self.step * k):
+            if a > dim_v ** (step * k):
                 raise ValueError(
                     f"count {a} at position {k} exceeds dim_v**(step*k)"
                 )
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "dim_v", dim_v)
         object.__setattr__(self, "values", values)
 
 

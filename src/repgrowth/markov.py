@@ -23,7 +23,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modular_fusion import FusionVector, _power, fusion_matrix, require_prime, tensor_power
+from ._exact import power
+from .modular_fusion import FusionVector, fusion_matrix, require_prime, tensor_power
 
 
 class HypothesisViolationError(ValueError):
@@ -89,7 +90,7 @@ class _ExactMatrix:
     def __pow__(self, exponent: int):
         """[self]^exponent by repeated squaring on the rows."""
         identity = tuple(tuple(int(i == j) for j in range(self.p)) for i in range(self.p))
-        return type(self)(self.p, _power(self.rows, exponent, _matmul, identity))
+        return type(self)(self.p, power(self.rows, exponent, _matmul, identity))
 
 
 class TransitionMatrix(_ExactMatrix):
@@ -128,11 +129,11 @@ def q_of(v: FusionVector) -> RatioVector:
 def p_of_map(s: IntegerRingMap) -> TransitionMatrix:
     """Column-stochastic matrix whose column j is Q(S(V_j)); every S(V_j) must be nonzero."""
     columns = []
-    for j, column in enumerate(zip(*s.rows)):
-        image = FusionVector(s.p, column)
-        if image.dimension == 0:
+    for j, column in enumerate(zip(*s.rows)):  # Q inline, so TransitionMatrix checks it once
+        dim = sum((i + 1) * c for i, c in enumerate(column))
+        if dim == 0:
             raise ValueError(f"column {j} of the ring map is zero")
-        columns.append(q_of(image).entries)
+        columns.append(tuple(Fraction((i + 1) * c, dim) for i, c in enumerate(column)))
     return TransitionMatrix(s.p, tuple(zip(*columns)))
 
 

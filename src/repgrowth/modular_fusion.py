@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from math import comb, isqrt
 
+from ._exact import natural, power
 from .growth import GrowthSeries
 
 
@@ -51,7 +52,7 @@ class FusionVector:
 
 def basis_vector(p: int, i: int) -> FusionVector:
     """The class of the single indecomposable V_i."""
-    if not 0 <= i < p:
+    if not 0 <= operator.index(i) < p:
         raise ValueError(f"index {i} outside 0..{p - 1}")
     return FusionVector(p, tuple(int(j == i) for j in range(p)))
 
@@ -90,23 +91,9 @@ def fuse(a: FusionVector, b: FusionVector) -> FusionVector:
     return FusionVector(p, tuple(coeffs))
 
 
-def _power(base, n: int, product, one):
-    """base**n by repeated squaring under ``product``; ``one``, for n = 0, is never a factor."""
-    if n < 0:
-        raise ValueError(f"exponent must be non-negative, got {n}")
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else product(result, base)
-        n >>= 1
-        if n:
-            base = product(base, base)
-    return one if result is None else result
-
-
 def tensor_power(v: FusionVector, n: int) -> FusionVector:
     """n-th tensor power by repeated squaring; n = 0 gives the trivial V_0."""
-    return _power(v, n, fuse, basis_vector(v.p, 0))
+    return power(v, n, fuse, basis_vector(v.p, 0))
 
 
 def fusion_matrix(w: FusionVector) -> tuple[tuple[int, ...], ...]:
@@ -125,10 +112,7 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
     V_{p-1} (x) V_i = (i+1) V_{p-1} never feeds back into V_0, so only entries 0..p-2
     are kept, sparse, and a column of M_block is built on first use, not all p of them.
     """
-    if step < 1:
-        raise ValueError(f"step must be at least 1, got {step}")
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    step, max_k = natural(step, "step", 1), natural(max_k, "max_k", 1)
     block = tensor_power(v, step)
     columns: dict[int, list[tuple[int, int]]] = {}
     current = {0: 1}

@@ -13,7 +13,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm, prod
+from numbers import Rational
 from typing import Iterable, Sequence, Union
+
+from ._exact import natural
 
 
 class InvalidPartitionError(ValueError):
@@ -135,7 +138,7 @@ def dual_weight(lam: PartitionLike, n: int, m: int | None = None) -> DualWeightR
     As a partition it has size m*l_1 - n, so the dual lives in tensor degree
     n + excess with excess = m*l_1 - n.
     """
-    lam = _as_partition(lam, m)
+    lam, n = _as_partition(lam, m), natural(n, "n")
     if lam.size != n:
         raise ValueError(f"{lam.parts} is a partition of {lam.size}, not {n}")
     top = lam.parts[0]
@@ -154,10 +157,13 @@ def is_close_to_mean(
     Decided exactly: for theta = a/b the test |x - n/m| < n**theta is
     equivalent over the integers to |m*x - n|**b < n**a * m**b.  Strict
     inequality, so for n = 0 no partition is close (including the empty one).
+    A float theta is refused: 2/3 as a float is a/b with b = 2**53.
     """
-    lam = _as_partition(parts, m)
+    lam, n = _as_partition(parts, m), natural(n, "n")
     if lam.size != n:
         raise ValueError(f"{lam.parts} is a partition of {lam.size}, not {n}")
+    if not isinstance(theta, Rational):
+        raise TypeError(f"theta must be rational, got {theta!r}")
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")

@@ -11,6 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._exact import natural
 from .growth import GrowthSeries
 from .partitions import Partition, hook_syt_count, is_close_to_mean, weyl_dimension
 
@@ -68,10 +69,7 @@ class MeanMassReport:
 
 def tensor_power_decomposition(m: int, n: int) -> Decomposition:
     """Decompose V^(x)n for the natural m-dimensional SL_m module."""
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    m, n = natural(m, "m", 1), natural(n, "n")
     shapes = (Partition(p, m) for p in _partitions(n, m, n))
     return Decomposition(m, n, {lam: hook_syt_count(lam) for lam in shapes})
 
@@ -92,17 +90,13 @@ def trivial_multiplicity(m: int, n: int) -> int:
     The trivial class is the rectangle (n/m, ..., n/m); the count is its
     number of standard tableaux, and zero unless m divides n.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    m, n = natural(m, "m", 1), natural(n, "n")
     return hook_syt_count((n // m,) * m) if n % m == 0 else 0
 
 
 def ts_series_sl(m: int, max_k: int) -> GrowthSeries:
     """Trivial-summand counts of V^(x)(m*k) for k = 1..max_k, as a growth series."""
-    if max_k < 1:
-        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    max_k = natural(max_k, "max_k", 1)
     values = tuple(trivial_multiplicity(m, m * k) for k in range(1, max_k + 1))
     return GrowthSeries(step=m, values=values, dim_v=m)
 

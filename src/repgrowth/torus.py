@@ -20,6 +20,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import exp, factorial, gcd
 
+from ._exact import natural
+
 
 class InapplicableBoundError(ValueError):
     """Raised when the weights do not sum to a positive number."""
@@ -64,8 +66,7 @@ def zero_weight_count(weights, n: int) -> int:
     weight.  A single weight class (g = 0) counts m**n if its weight is 0.
     """
     weights = _clean_weights(weights)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    n = natural(n, "n")
     if n == 0:
         return 1
     low, high = min(weights), max(weights)
@@ -123,8 +124,7 @@ def bernstein_zero_bound(weights, n: int) -> BernsteinBound:
     the final exponential is floating point.
     """
     weights = _clean_weights(weights)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    n = natural(n, "n")
     m = len(weights)
     total = sum(weights)
     if total <= 0:
@@ -152,6 +152,5 @@ def diagonal_zero_count(m: int, n: int) -> int:
 
     Only the perfectly balanced basis tensors survive: (m*n)!/(n!)**m.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    m, n = natural(m, "m", 1), natural(n, "n")
     return factorial(m * n) // factorial(n) ** m

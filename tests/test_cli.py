@@ -360,6 +360,20 @@ def test_help_exits_zero(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: repgrowth")
 
 
+def test_help_shows_the_required_modes(capsys):
+    assert cli.main(["markov", "--help"]) == 0
+    assert "(--seed SEED | --example)" in capsys.readouterr().out
+    assert cli.main(["torus", "--help"]) == 0
+    assert "(--weights WEIGHTS | --diagonal)" in capsys.readouterr().out
+
+
+def test_bound_errors_name_the_argument(capsys):
+    argv = ["markov", "--p", "3", "--seed", "V1", "--power", "0"]
+    assert run(argv, capsys) == (2, "", "error: --power must be at least 1, got 0\n")
+    argv = ["torus", "--diagonal", "--m", "2", "--n", "-1"]
+    assert run(argv, capsys) == (2, "", "error: n must be non-negative, got -1\n")
+
+
 def test_documented_commands_are_deterministic(capsys, s3_file):
     commands = [
         ["pieri", "--m", "2", "--n", "4"],

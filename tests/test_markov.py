@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repgrowth import markov
 from repgrowth.markov import (
     HypothesisViolationError,
     IntegerRingMap,
@@ -102,6 +103,23 @@ def test_p_of_map_rejects_zero_columns():
         p_of_map(IntegerRingMap(2, ((1, 0), (0, 0))))
     with pytest.raises(ValueError, match="column 0 of the ring map is zero"):
         p_of_map(IntegerRingMap(3, ((0, 1, 0), (0, 0, 0), (0, 0, 1))))
+
+
+def test_p_of_map_checks_each_column_once(monkeypatch):
+    calls = []
+    rule = markov._require_probability
+
+    def counted(entries, name):
+        calls.append(name)
+        rule(entries, name)
+
+    # The class attribute holds its own reference, so both names are wrapped.
+    monkeypatch.setattr(markov, "_require_probability", counted)
+    monkeypatch.setattr(TransitionMatrix, "_column_rule", staticmethod(counted))
+    for p in (2, 3, 5, 7):
+        calls.clear()
+        p_of_map(IntegerRingMap(p, fusion_matrix(basis_vector(p, 1))))
+        assert calls == [f"column {j}" for j in range(p)]
 
 
 def test_p_of_tensor_by_is_multiplicative_on_basis():

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repgrowth.char_table import ClassFunction, root_of_unity, tensor_power_char
 from repgrowth.growth import GrowthSeries
 from repgrowth.markov import IntegerRingMap
-from repgrowth.modular_fusion import FusionVector
+from repgrowth.modular_fusion import FusionVector, basis_vector, fuse_basis
 from repgrowth.partitions import (
     InvalidPartitionError,
     Partition,
@@ -22,6 +23,8 @@ from repgrowth.partitions import (
     is_close_to_mean,
     weyl_dimension,
 )
+from repgrowth.pieri import mean_mass_report, tensor_power_decomposition
+from repgrowth.torus import zero_weight_count
 
 
 def all_partitions(n, max_parts=None):
@@ -88,8 +91,27 @@ def test_partition_pads_and_validates():
         lambda: FusionVector(3, (1.5, 0, 0)),
         lambda: IntegerRingMap(2, ((1.0, 0), (0, 1))),
         lambda: GrowthSeries(step=1, values=(1, 2.0), dim_v=2),
+        lambda: GrowthSeries(step=1.5, values=(1,), dim_v=2),
+        lambda: GrowthSeries(step=1, values=(1,), dim_v=2.0),
+        lambda: zero_weight_count((1, -1), 4.0),
+        lambda: zero_weight_count((1, -1), 1200.0),
+        lambda: tensor_power_char(ClassFunction((1, -1)), 2.0),
+        lambda: root_of_unity(4, 0.5),
+        lambda: basis_vector(5, 1.0),
+        lambda: fuse_basis(5, 1.0, 2),
+        lambda: dual_weight((2, 1, 0), 3.0),
+        lambda: is_close_to_mean((2, 1), 3.0),
+        # A float theta: 2/3 would become a/2**53 and ask for n**a, so 0.5 stands in.
+        lambda: is_close_to_mean((2, 1), 3, theta=0.5),
+        lambda: mean_mass_report(tensor_power_decomposition(2, 4), theta=0.5),
     ],
-    ids=["Partition", "hook_syt_count", "FusionVector", "IntegerRingMap", "GrowthSeries"],
+    ids=[
+        "Partition", "hook_syt_count", "FusionVector", "IntegerRingMap", "GrowthSeries",
+        "GrowthSeries-step", "GrowthSeries-dim_v", "zero_weight_count",
+        "zero_weight_count-1200", "tensor_power_char", "root_of_unity", "basis_vector",
+        "fuse_basis", "dual_weight", "is_close_to_mean",
+        "is_close_to_mean-theta", "mean_mass_report-theta",
+    ],
 )
 def test_integer_constructors_reject_floats(build):
     # An integral float is refused too: no integer answer passes through a float.

@@ -1,11 +1,13 @@
 """Complex character tables of finite groups, in exact arithmetic.
 
 A rational value is an ``int`` or ``Fraction`` and an irrational one a
-``Cyclotomic``, so rational tables run on Python's own numbers.  Multiplicities
-come from the inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check
-on a table or a multiplicity is an exact equality.  A table keeps each row as
-its zeta_n-term columns over the classes, built once, so pairings are column
-dot products and validation is one exact Gram check.
+``Cyclotomic``, so rational tables run on Python's own numbers; any other value,
+a float among them, is refused with TypeError.  Multiplicities come from the
+inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check on a table or a
+multiplicity is an exact equality.  A table keeps each row as its zeta_n-term
+columns over the classes, built once, so pairings are column dot products.
+Validation pairs each row once with all rows packed into one integer per
+class and exponent, each row in its own fixed-width slot.
 """
 
 from __future__ import annotations
@@ -118,6 +120,18 @@ def _terms(value: Scalar, n: int) -> list[tuple[int, Rational]]:
     return [(0, value)] if value else []
 
 
+def _remainder_bound(n: int) -> int:
+    """C_n, the largest |coefficient| of x^r mod Phi_n over r < n (1 for every n <= 120
+    but 105, where it is 2); each remainder is x times the last, reduced once."""
+    phi = _cyclotomic_poly(n)
+    remainder, most = [1] + [0] * (len(phi) - 2), 1
+    for _ in range(1, n):
+        top = remainder[-1]  # the coefficient of x^deg = -(phi[0] + ... + phi[deg-1] x^(deg-1))
+        remainder = [a - top * b for a, b in zip([0] + remainder[:-1], phi)]
+        most = max(most, *map(abs, remainder))
+    return most
+
+
 def _reduce(n: int, dense: list) -> Scalar:
     """sum_k dense[k] * zeta_n**k, rational whenever its remainder mod Phi_n is."""
     coeffs = _divmod(dense, _cyclotomic_poly(n))[1]
@@ -160,7 +174,14 @@ def tensor_power_char(f: ClassFunction, d: int) -> ClassFunction:
     d = 0 gives the trivial (all-ones) character.
     """
     d = natural(d, "power")
+    _require_exact(f)
     return ClassFunction(tuple(v**d for v in f.values))
+
+
+def _require_exact(f: ClassFunction) -> None:
+    for value in f.values:
+        if not isinstance(value, (Rational, Cyclotomic)):
+            raise TypeError(f"class-function value {value!r} is neither Rational nor Cyclotomic")
 
 
 def _integer(value: Scalar) -> int | None:
@@ -178,7 +199,11 @@ class CharacterTable:
     orthonormal for the standard inner product, and squared degrees sum to
     the group order (so the listed irreducibles are all of them).  Orthonormality
     is the Gram check sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, exact, on
-    the rows' zeta_n-term columns (n the lcm of all value orders), kept for decompose.
+    the rows' zeta_n-term columns (n the lcm of all value orders), kept for decompose:
+    row i is paired once with all rows, packed side by side in slots wide enough for
+    any entry, so k pairings check all k(k+1)/2 entries.  The group order and class
+    sizes are coerced with ``operator.index`` and every value must be Rational or
+    Cyclotomic: a float, even 6.0, raises TypeError.
     """
 
     group_order: int
@@ -189,6 +214,8 @@ class CharacterTable:
     _row_columns: tuple[dict[int, list], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "group_order", index(self.group_order))
+        object.__setattr__(self, "class_sizes", tuple(map(index, self.class_sizes)))
         k = len(self.class_sizes)
         if k == 0 or self.class_sizes[0] != 1:
             raise InvalidCharacterError("first class must be the identity, size 1")
@@ -203,6 +230,7 @@ class CharacterTable:
         if len(set(self.irrep_names)) != k:
             raise InvalidCharacterError("irreducible names must be distinct")
         for name, chi in zip(self.irrep_names, self.irreps):
+            _require_exact(chi)
             if len(chi.values) != k:
                 raise InvalidCharacterError(f"{name} has {len(chi.values)} values, not {k}")
             degree = _integer(chi.values[0])
@@ -214,15 +242,42 @@ class CharacterTable:
         columns = tuple(_columns(chi.values, n) for chi in self.irreps)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_row_columns", columns)
-        for i in range(k):
-            sized = _sized(columns[i], self.class_sizes)
-            for j in range(i, k):
-                if _reduce(n, _pair(sized, columns[j], n)) != (self.group_order if i == j else 0):
-                    got = inner_product(self, self.irreps[i], self.irreps[j])
-                    raise InvalidCharacterError(
-                        f"rows {self.irrep_names[i]}, {self.irrep_names[j]} "
-                        f"have inner product {got}"
-                    )
+        # The Gram check, one pairing per row.  Row j's columns, times the lcm D of their
+        # denominators, fill slot j (width bits) of one packed column set.  Pairing and
+        # reduction mod Phi_n are Z-linear, so slot j of row i's reduced pairing holds
+        # D^2 sum_c |c| chi_i(c) conj(chi_j(c)).  No slot exceeds C_n sum_c |c| l(c)^2, l(c)
+        # the largest sum of |coefficients| of a row at c, nor can |G| D^2, and
+        # 2**(width - 1) exceeds both, so the slots never carry into each other.
+        scale = lcm(*(c.denominator for row in columns for col in row.values() for c in col))
+        rows = [
+            {e: [c.numerator * (scale // c.denominator) for c in col] for e, col in row.items()}
+            for row in columns
+        ]
+        unit = self.group_order * scale**2
+        l1 = [[sum(map(abs, cells)) for cells in zip(*row.values())] for row in rows]
+        spread = sum(size * most**2 for size, most in zip(self.class_sizes, map(max, zip(*l1))))
+        width = max(unit, _remainder_bound(n) * spread).bit_length() + 1
+        packed: dict[int, list] = {}
+        for j, row in enumerate(rows):
+            for e, col in row.items():
+                slots = packed.setdefault(e, [0] * k)
+                for c, value in enumerate(col):
+                    slots[c] += value << (width * j)
+        phi = _cyclotomic_poly(n)
+        for i, row in enumerate(rows):
+            got = _divmod(_pair(_sized(row, self.class_sizes), packed, n), phi)[1]
+            want = [unit << (width * i)] + [0] * (len(got) - 1)
+            if got != want:
+                # Each slot of got - want is below 2**width in absolute value, so the lowest
+                # nonzero one holds the lowest set bit.  The slots below i conjugate pairings
+                # already checked, so this is the first j >= i that fails.
+                diffs = [a - b for a, b in zip(got, want) if a != b]
+                j = min((d & -d).bit_length() - 1 for d in diffs) // width
+                value = inner_product(self, self.irreps[i], self.irreps[j])
+                raise InvalidCharacterError(
+                    f"rows {self.irrep_names[i]}, {self.irrep_names[j]} "
+                    f"have inner product {value}"
+                )
 
     def degree(self, i: int) -> int:
         return _integer(self.irreps[i].values[0])  # validated integral
@@ -266,8 +321,10 @@ def _pair(sized: dict[int, list], columns: dict[int, list], n: int) -> list:
     return dense
 
 
-def _check_length(table: CharacterTable, *functions: ClassFunction) -> None:
+def _check_values(table: CharacterTable, *functions: ClassFunction) -> None:
+    """Each function has one exact value per class of the table."""
     for h in functions:
+        _require_exact(h)
         if len(h.values) != len(table.class_sizes):
             raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(h.values)}")
 
@@ -275,7 +332,7 @@ def _check_length(table: CharacterTable, *functions: ClassFunction) -> None:
 def inner_product(table: CharacterTable, f: ClassFunction, g: ClassFunction) -> Scalar:
     """(1/|G|) sum over classes of |c| * f(c) * conj(g(c)), summed as coefficients on
     the powers of zeta_n (n the lcm of the orders of the values) and reduced once."""
-    _check_length(table, f, g)
+    _check_values(table, f, g)
     n = lcm(*map(_order, f.values + g.values))
     dense = _pair(_sized(_columns(f.values, n), table.class_sizes), _columns(g.values, n), n)
     return _reduce(n, [Fraction(c, table.group_order) for c in dense])
@@ -292,7 +349,7 @@ def decompose(table: CharacterTable, f: ClassFunction) -> tuple[int, ...]:
 
 def _multiplicities(table: CharacterTable, f: ClassFunction, indices: range) -> tuple[int, ...]:
     """f's columns, built once, paired with the cached columns of each indexed row."""
-    _check_length(table, f)
+    _check_values(table, f)
     n = lcm(table._n, *map(_order, f.values))
     sized, scale = _sized(_columns(f.values, n), table.class_sizes), n // table._n
     mults = []
@@ -316,7 +373,7 @@ def is_faithful(table: CharacterTable, f: ClassFunction) -> bool:
     kernel, which is what makes tensor powers of f eventually contain
     every irreducible.
     """
-    _check_length(table, f)
+    _check_values(table, f)
     return all(v != f.values[0] for v in f.values[1:])
 
 
@@ -355,6 +412,7 @@ def regular_tensor_check(table: CharacterTable, f: ClassFunction) -> bool:
     in particular the trivial multiplicity -- the trivial-summand count of
     V (x) Regular -- must equal deg(f).
     """
+    _require_exact(f)
     degree = _integer(f.values[0])
     if degree is None or degree < 1:
         raise InvalidCharacterError(f"degree {f.values[0]} is not a positive integer")
@@ -511,6 +569,7 @@ def load_table(text: str) -> CharacterTable:
     sizes = tuple(_parse_int(tok, number, "class size") for tok in size_tokens)
     names: list[str] = []
     rows: list[ClassFunction] = []
+    parsed: dict[str, Scalar] = {}  # each distinct token once; every value is immutable
     for number, line in lines[2:]:
         tokens = line.split()
         if len(tokens) != k + 1:
@@ -518,7 +577,10 @@ def load_table(text: str) -> CharacterTable:
                 number, f"expected a name and {k} values, got {len(tokens)} fields"
             )
         names.append(tokens[0])
-        rows.append(ClassFunction(tuple(_parse_value(tok, number) for tok in tokens[1:])))
+        for token in tokens[1:]:
+            if token not in parsed:
+                parsed[token] = _parse_value(token, number)
+        rows.append(ClassFunction(tuple(map(parsed.__getitem__, tokens[1:]))))
     if len(rows) != k:
         raise TableParseError(
             lines[-1][0], f"expected {k} irreducible rows, got {len(rows)}"

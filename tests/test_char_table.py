@@ -2,7 +2,8 @@
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -520,22 +521,137 @@ def test_gram_check_agrees_with_the_pairwise_inner_products(data):
         value = table.irreps[data.draw(st.integers(0, k - 1))].values[column]
     else:
         value = table.irreps[row].values[column] + data.draw(st.sampled_from(SHIFTS))
-    rows = _with_value(table, row, column, value)
-    failures = [
-        (i, j, got)
-        for i in range(k)
-        for j in range(i, k)
-        if (got := inner_product(table, rows[i], rows[j])) != (1 if i == j else 0)
-    ]
+    _gram_check_matches_pairwise(table, _with_value(table, row, column, value))
+
+
+def _pairwise_failure(table, rows):
+    """The first pair i <= j whose inner product is not delta_ij, with its value, else None."""
+    k = len(rows)
+    for i in range(k):
+        for j in range(i, k):
+            got = inner_product(table, rows[i], rows[j])
+            if got != (1 if i == j else 0):
+                return i, j, got
+    return None
+
+
+def _gram_check_matches_pairwise(table, rows):
+    """Build table's group with these rows: it fails exactly where the pairwise loop does,
+    with that loop's message.  Returns the failing pair, or None."""
+    failure = _pairwise_failure(table, rows)
     build = lambda: CharacterTable(table.group_order, table.class_sizes, table.irrep_names, rows)
-    if failures:
-        i, j, got = failures[0]
-        with pytest.raises(InvalidCharacterError) as excinfo:
-            build()
-        names = table.irrep_names
-        assert str(excinfo.value) == f"rows {names[i]}, {names[j]} have inner product {got}"
-    else:
+    if failure is None:
         build()
+        return None
+    i, j, got = failure
+    with pytest.raises(InvalidCharacterError) as excinfo:
+        build()
+    names = table.irrep_names
+    assert str(excinfo.value) == f"rows {names[i]}, {names[j]} have inner product {got}"
+    return i, j
+
+
+def _z4_cubed():
+    """(Z/4)^3: chi_x(g) = i^(x.g), rows and classes in the same order, identity first."""
+    elements = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    rows = {
+        "x" + "".join(map(str, x)): tuple(
+            root_of_unity(4, sum(map(mul, x, g))) for g in elements
+        )
+        for x in elements
+    }
+    return char_table._table(64, (1,) * 64, rows)
+
+
+def test_gram_check_matches_pairwise_on_sixty_four_classes():
+    table = _z4_cubed()
+    last = len(table.irreps) - 1
+    cases = [  # (row, column, shift, the first failing pair)
+        (0, 5, 1, (0, 0)),
+        (last, 1, root_of_unity(4), (0, last)),  # row 0's mismatch sits in the top slot
+        (17, last, Fraction(1, 3), (0, 17)),
+        (last, last, -1, (0, last)),
+    ]
+    for row, column, shift, pair in cases:
+        value = table.irreps[row].values[column] + shift
+        assert _gram_check_matches_pairwise(table, _with_value(table, row, column, value)) == pair
+
+
+def test_gram_check_matches_pairwise_at_order_105_and_with_fractions():
+    # Phi_105 is the first cyclotomic polynomial whose remainders of x^r, r < n,
+    # have a coefficient of size 2; the slot width allows for it.
+    assert [n for n in range(1, 121) if char_table._remainder_bound(n) != 1] == [105]
+    assert char_table._remainder_bound(105) == 2
+    z105 = root_of_unity(105)
+    z3 = builtin_table("z3")
+    lifted = tuple(ClassFunction(tuple(v + z105 - z105 for v in chi.values)) for chi in z3.irreps)
+    assert lcm(*(char_table._order(v) for chi in lifted for v in chi.values)) == 105
+    assert _gram_check_matches_pairwise(z3, lifted) is None
+    for name, row, column, shift in [
+        ("z3", 1, 2, z105),
+        ("s3", 2, 1, z105),
+        ("s3", 1, 2, root_of_unity(105, 52)),
+        ("s4", 3, 2, Fraction(1, 3)),
+        ("d4", 4, 1, Fraction(-5, 7)),
+        ("z4", 2, 3, Fraction(1, 2) * root_of_unity(4)),
+    ]:
+        table = builtin_table(name)
+        value = table.irreps[row].values[column] + shift
+        assert _gram_check_matches_pairwise(table, _with_value(table, row, column, value))
+
+
+def test_gram_check_reads_large_pairings_in_their_own_slot():
+    # Pairings far beyond |G| D^2, powers of two among them, stay inside their own slot.
+    for name in ("z2", "s3"):
+        table = builtin_table(name)
+        last = len(table.irreps) - 1
+        for bits in range(1, 64, 3):
+            for shift in (2**bits, -(2**bits), Fraction(2**bits, 3)):
+                value = table.irreps[last].values[1] + shift
+                rows = _with_value(table, last, 1, value)
+                assert _gram_check_matches_pairwise(table, rows) == (0, last)
+
+
+def test_gram_check_pairs_each_row_once(monkeypatch):
+    calls = []
+    pair = char_table._pair
+    monkeypatch.setattr(char_table, "_pair", lambda *args: calls.append(args) or pair(*args))
+    product = _product_table_text(Z4_TEXT, S3_TEXT)
+    trivial_group = lambda: CharacterTable(1, (1,), ("triv",), (ClassFunction((1,)),))
+    for build in [lambda name=name: builtin_table(name) for name in BUILTINS] + [
+        lambda: load_table(product),
+        trivial_group,
+    ]:
+        calls.clear()
+        table = build()
+        assert len(calls) == len(table.irreps)
+
+
+def test_load_table_parses_each_distinct_value_once(monkeypatch):
+    tokens = []
+    parse = char_table._parse_value
+    monkeypatch.setattr(
+        char_table, "_parse_value", lambda token, line: tokens.append(token) or parse(token, line)
+    )
+    assert load_table(Z4_TEXT).irreps == builtin_table("z4").irreps
+    assert sorted(tokens) == sorted(["1", "0+1i", "-1", "0-1i"])
+
+
+def test_inexact_class_function_values_are_refused_by_name():
+    s3 = builtin_table("s3")
+    f = ClassFunction((2.0, 0, -1))
+    for call in (
+        lambda: CharacterTable(6, (1, 3, 2), s3.irrep_names, s3.irreps[:2] + (f,)),
+        lambda: tensor_power_char(f, 2),
+        lambda: inner_product(s3, s3.irreps[0], f),
+        lambda: decompose(s3, f),
+        lambda: is_faithful(s3, f),
+        lambda: first_power_containing(s3, f, 0, 4),
+        lambda: regular_tensor_check(s3, f),
+        lambda: min_power_containing_regular(s3, f),
+    ):
+        with pytest.raises(TypeError, match=r"^class-function value 2\.0 is neither"):
+            call()
 
 
 def test_decompose_matches_per_row_inner_products():

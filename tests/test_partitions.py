@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repgrowth.char_table import ClassFunction, root_of_unity, tensor_power_char
+from repgrowth.char_table import (
+    CharacterTable,
+    ClassFunction,
+    builtin_table,
+    decompose,
+    root_of_unity,
+    tensor_power_char,
+)
 from repgrowth.growth import GrowthSeries
 from repgrowth.markov import IntegerRingMap
 from repgrowth.modular_fusion import FusionVector, basis_vector, fuse_basis
@@ -83,6 +90,12 @@ def test_partition_pads_and_validates():
         Partition((1,), 0)
 
 
+S3_ROWS = (
+    ("triv", "sign", "std"),
+    tuple(ClassFunction(v) for v in ((1, 1, 1), (1, -1, 1), (2, 0, -1))),
+)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -104,13 +117,18 @@ def test_partition_pads_and_validates():
         # A float theta: 2/3 would become a/2**53 and ask for n**a, so 0.5 stands in.
         lambda: is_close_to_mean((2, 1), 3, theta=0.5),
         lambda: mean_mass_report(tensor_power_decomposition(2, 4), theta=0.5),
+        lambda: CharacterTable(6.0, (1, 3, 2), *S3_ROWS),
+        lambda: CharacterTable(6, (1, 3.0, 2), *S3_ROWS),
+        lambda: decompose(builtin_table("s3"), ClassFunction((2.0, 0.0, -1.0))),
+        lambda: tensor_power_char(ClassFunction((2.0, 0.0, -1.0)), 2),
     ],
     ids=[
         "Partition", "hook_syt_count", "FusionVector", "IntegerRingMap", "GrowthSeries",
         "GrowthSeries-step", "GrowthSeries-dim_v", "zero_weight_count",
         "zero_weight_count-1200", "tensor_power_char", "root_of_unity", "basis_vector",
         "fuse_basis", "dual_weight", "is_close_to_mean",
-        "is_close_to_mean-theta", "mean_mass_report-theta",
+        "is_close_to_mean-theta", "mean_mass_report-theta", "CharacterTable-group_order",
+        "CharacterTable-class_sizes", "decompose-values", "tensor_power_char-values",
     ],
 )
 def test_integer_constructors_reject_floats(build):

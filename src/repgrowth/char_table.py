@@ -1,10 +1,10 @@
 """Complex character tables of finite groups, in exact arithmetic.
 
 A rational value is an ``int`` or ``Fraction`` and an irrational one a
-``Cyclotomic``, so rational tables run on Python's own numbers; any other value,
-a float among them, is refused with TypeError.  Multiplicities come from the
-inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check on a table or a
-multiplicity is an exact equality.  A table keeps each row as its zeta_n-term
+``Cyclotomic``, so rational tables run on Python's own numbers; ``ClassFunction``
+refuses any other value, a float among them, with TypeError.  Multiplicities come
+from the inner product (1/|G|) sum_c |c| f(c) conj(chi(c)); every check on a table
+or a multiplicity is an exact equality.  A table keeps each row as its zeta_n-term
 columns over the classes, built once, so pairings are column dot products.
 Validation pairs each row once with all rows packed into one integer per
 class and exponent, each row in its own fixed-width slot.
@@ -46,9 +46,9 @@ def _cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Cyclotomic:
-    """An irrational sum_k coeffs[k] * zeta_n**k, zeta_n = exp(2 pi i / n), as GAP
-    stores cyclotomics: ``coeffs`` is the unique remainder modulo Phi_n.  A
-    rational result of arithmetic comes back as an ``int`` or ``Fraction``."""
+    """An irrational sum_k coeffs[k] * zeta_n**k, zeta_n = exp(2 pi i / n):
+    ``coeffs`` is the unique remainder modulo Phi_n.  A rational result of
+    arithmetic comes back as an ``int`` or ``Fraction``."""
 
     n: int
     coeffs: tuple
@@ -158,9 +158,18 @@ class TableParseError(ValueError):
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Values of a class function on the conjugacy classes, identity first."""
+    """Values of a class function on the conjugacy classes, identity first.  Each value
+    must be Rational or Cyclotomic: any other, a float among them, raises TypeError here,
+    for a product or a ``dataclasses.replace`` too, so no caller checks values again."""
 
     values: tuple[Scalar, ...]
+
+    def __post_init__(self) -> None:
+        for value in self.values:
+            if not isinstance(value, (Rational, Cyclotomic)):
+                raise TypeError(
+                    f"class-function value {value!r} is neither Rational nor Cyclotomic"
+                )
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if len(self.values) != len(other.values):
@@ -174,14 +183,7 @@ def tensor_power_char(f: ClassFunction, d: int) -> ClassFunction:
     d = 0 gives the trivial (all-ones) character.
     """
     d = natural(d, "power")
-    _require_exact(f)
     return ClassFunction(tuple(v**d for v in f.values))
-
-
-def _require_exact(f: ClassFunction) -> None:
-    for value in f.values:
-        if not isinstance(value, (Rational, Cyclotomic)):
-            raise TypeError(f"class-function value {value!r} is neither Rational nor Cyclotomic")
 
 
 def _integer(value: Scalar) -> int | None:
@@ -202,8 +204,7 @@ class CharacterTable:
     the rows' zeta_n-term columns (n the lcm of all value orders), kept for decompose:
     row i is paired once with all rows, packed side by side in slots wide enough for
     any entry, so k pairings check all k(k+1)/2 entries.  The group order and class
-    sizes are coerced with ``operator.index`` and every value must be Rational or
-    Cyclotomic: a float, even 6.0, raises TypeError.
+    sizes are coerced with ``operator.index``: a float, even 6.0, raises TypeError.
     """
 
     group_order: int
@@ -230,7 +231,6 @@ class CharacterTable:
         if len(set(self.irrep_names)) != k:
             raise InvalidCharacterError("irreducible names must be distinct")
         for name, chi in zip(self.irrep_names, self.irreps):
-            _require_exact(chi)
             if len(chi.values) != k:
                 raise InvalidCharacterError(f"{name} has {len(chi.values)} values, not {k}")
             degree = _integer(chi.values[0])
@@ -322,9 +322,8 @@ def _pair(sized: dict[int, list], columns: dict[int, list], n: int) -> list:
 
 
 def _check_values(table: CharacterTable, *functions: ClassFunction) -> None:
-    """Each function has one exact value per class of the table."""
+    """Each function has one value per class of the table."""
     for h in functions:
-        _require_exact(h)
         if len(h.values) != len(table.class_sizes):
             raise ValueError(f"expected {len(table.class_sizes)} class values, got {len(h.values)}")
 
@@ -412,7 +411,6 @@ def regular_tensor_check(table: CharacterTable, f: ClassFunction) -> bool:
     in particular the trivial multiplicity -- the trivial-summand count of
     V (x) Regular -- must equal deg(f).
     """
-    _require_exact(f)
     degree = _integer(f.values[0])
     if degree is None or degree < 1:
         raise InvalidCharacterError(f"degree {f.values[0]} is not a positive integer")

@@ -55,6 +55,7 @@ def nth_root_sequence(series: GrowthSeries) -> list[float]:
 def fekete_check(series: GrowthSeries) -> bool:
     """Whether a_{l+k} >= a_l * a_k for all index pairs inside the horizon.
 
+    The rule is symmetric in l and k, so each pair is tested once, with k >= l.
     Supermultiplicativity holds for genuine trivial-summand sequences (a
     trivial summand of each factor embeds as one of the product), and by
     Fekete's lemma it makes sup a_k**(1/(step*k)) the actual growth limit.
@@ -63,7 +64,7 @@ def fekete_check(series: GrowthSeries) -> bool:
     return all(
         a[l + k - 1] >= a[l - 1] * a[k - 1]
         for l in range(1, len(a) + 1)
-        for k in range(1, len(a) + 1 - l)
+        for k in range(l, len(a) + 1 - l)
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from ._exact import power
 from .modular_fusion import FusionVector, fusion_matrix, require_prime, tensor_power
@@ -37,6 +38,13 @@ def _matmul(a, b) -> tuple[tuple, ...]:
         raise ValueError(f"mismatched primes {len(a)} and {len(b)}")
     columns = tuple(zip(*b))
     return tuple(tuple(sum(map(operator.mul, row, column)) for column in columns) for row in a)
+
+
+def _rational(value) -> Fraction:
+    """An exact entry as a Fraction; any other, a float or a string among them, raises."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"entry {value!r} is not Rational")
+    return Fraction(value)
 
 
 def _require_non_negative(entries, name: str) -> None:
@@ -60,7 +68,7 @@ class RatioVector:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(map(_rational, self.entries))
         if len(entries) != self.p:
             raise ValueError(f"expected {self.p} entries, got {len(entries)}")
         _require_probability(entries, "the ratio vector")
@@ -96,7 +104,7 @@ class _ExactMatrix:
 class TransitionMatrix(_ExactMatrix):
     """A p x p column-stochastic matrix of exact rationals, stored row-major."""
 
-    _entry = Fraction
+    _entry = staticmethod(_rational)
     _column_rule = staticmethod(_require_probability)
 
     def apply(self, vector: RatioVector) -> RatioVector:

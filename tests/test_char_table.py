@@ -1,6 +1,7 @@
 """Character-table arithmetic on built-in groups and the text-file format."""
 
 import cmath
+import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -638,17 +639,25 @@ def test_load_table_parses_each_distinct_value_once(monkeypatch):
 
 
 def test_inexact_class_function_values_are_refused_by_name():
+    # The constructor refuses the float, so no route makes a class function that holds
+    # one: not a product, not dataclasses.replace, and no entry point can be handed one.
     s3 = builtin_table("s3")
-    f = ClassFunction((2.0, 0, -1))
+
+    def f():
+        return ClassFunction((2.0, 0, -1))
+
     for call in (
-        lambda: CharacterTable(6, (1, 3, 2), s3.irrep_names, s3.irreps[:2] + (f,)),
-        lambda: tensor_power_char(f, 2),
-        lambda: inner_product(s3, s3.irreps[0], f),
-        lambda: decompose(s3, f),
-        lambda: is_faithful(s3, f),
-        lambda: first_power_containing(s3, f, 0, 4),
-        lambda: regular_tensor_check(s3, f),
-        lambda: min_power_containing_regular(s3, f),
+        f,
+        lambda: f() * s3.irreps[0],
+        lambda: dataclasses.replace(s3.irreps[2], values=(2.0, 0, -1)),
+        lambda: CharacterTable(6, (1, 3, 2), s3.irrep_names, s3.irreps[:2] + (f(),)),
+        lambda: tensor_power_char(f(), 2),
+        lambda: inner_product(s3, s3.irreps[0], f()),
+        lambda: decompose(s3, f()),
+        lambda: is_faithful(s3, f()),
+        lambda: first_power_containing(s3, f(), 0, 4),
+        lambda: regular_tensor_check(s3, f()),
+        lambda: min_power_containing_regular(s3, f()),
     ):
         with pytest.raises(TypeError, match=r"^class-function value 2\.0 is neither"):
             call()

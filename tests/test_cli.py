@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,51 @@ def test_torus_output(capsys):
     assert "bound: unavailable" in out
     code, out, _ = run(["torus", "--diagonal", "--m", "3", "--n", "2"], capsys)
     assert (code, out) == (0, "count = 90\n")
+
+
+# Counts with more digits (9,398 and 5,722) than the 4,300 that CPython converts
+# between int and str by default.
+BIG_COUNTS = {
+    "weights": (["torus", "--weights", "3,-1,-1", "--n", "20000"], comb(20000, 5000) << 15000),
+    "diagonal": (
+        ["torus", "--diagonal", "--m", "3", "--n", "4000"],
+        factorial(12000) // factorial(4000) ** 3,
+    ),
+}
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+
+
+@pytest.mark.parametrize("name", BIG_COUNTS)
+def test_exact_answers_of_any_size_print(capsys, name):
+    argv, count = BIG_COUNTS[name]
+    limit = _digit_limit()
+    text, as_json = run(argv, capsys), run(argv + ["--json"], capsys)
+    assert _digit_limit() == limit
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # for the expected text and json.loads
+    try:
+        assert (text[0], text[2], as_json[0], as_json[2]) == (0, "", 0, "")
+        assert text[1].splitlines()[0] == f"count = {count}"
+        assert json.loads(as_json[1])["result"]["count"] == count
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(_digit_limit() is None, reason="this interpreter has no digit limit")
+def test_main_restores_the_callers_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv, code in (
+            (BIG_COUNTS["diagonal"][0], 0),
+            (["torus", "--weights", "3,-1,-1", "--n", "-1"], 2),  # refused by the library
+            (["nosuchcommand"], 2),  # refused by argparse
+        ):
+            assert cli.main(argv) == code, argv
+            assert sys.get_int_max_str_digits() == 5000, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_chartab_commands(capsys, s3_file):

@@ -44,6 +44,9 @@ def test_fekete_check():
     assert not fekete_check(GrowthSeries(step=1, values=(1, 3, 1), dim_v=5))
     assert fekete_check(GrowthSeries(step=1, values=(1, 1, 2, 2), dim_v=3))
     assert fekete_check(GrowthSeries(step=1, values=(0, 0, 0), dim_v=2))
+    # Each pair is tested once, with k >= l: these fail only at (1, 2) and at (1, 1).
+    assert not fekete_check(GrowthSeries(step=1, values=(2, 4, 7), dim_v=2))
+    assert not fekete_check(GrowthSeries(step=1, values=(2, 3), dim_v=2))
 
 
 def test_estimate_brackets_catalan_growth():

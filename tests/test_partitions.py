@@ -18,7 +18,7 @@ from repgrowth.char_table import (
     tensor_power_char,
 )
 from repgrowth.growth import GrowthSeries
-from repgrowth.markov import IntegerRingMap
+from repgrowth.markov import IntegerRingMap, RatioVector, TransitionMatrix
 from repgrowth.modular_fusion import FusionVector, basis_vector, fuse_basis
 from repgrowth.partitions import (
     InvalidPartitionError,
@@ -121,6 +121,9 @@ S3_ROWS = (
         lambda: CharacterTable(6, (1, 3.0, 2), *S3_ROWS),
         lambda: decompose(builtin_table("s3"), ClassFunction((2.0, 0.0, -1.0))),
         lambda: tensor_power_char(ClassFunction((2.0, 0.0, -1.0)), 2),
+        lambda: TransitionMatrix(2, ((0.5, 0.5), (0.5, 0.5))),
+        lambda: RatioVector(2, ("1/2", "1/2")),
+        lambda: RatioVector(2, (0.1, 0.9)),
     ],
     ids=[
         "Partition", "hook_syt_count", "FusionVector", "IntegerRingMap", "GrowthSeries",
@@ -129,6 +132,7 @@ S3_ROWS = (
         "fuse_basis", "dual_weight", "is_close_to_mean",
         "is_close_to_mean-theta", "mean_mass_report-theta", "CharacterTable-group_order",
         "CharacterTable-class_sizes", "decompose-values", "tensor_power_char-values",
+        "TransitionMatrix", "RatioVector-strings", "RatioVector-floats",
     ],
 )
 def test_integer_constructors_reject_floats(build):

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 computation-level failure (an oracle disagreement or
 a failed identity check), 2 usage or input errors, 3 any other error (one
-``error:`` line naming the exception type, no traceback).  Output is
-deterministic: floats are printed with 12 significant digits, rationals
-exactly.  Input that the library rejects raises ValueError there and exits 2
-here; the handlers check only the rules that exist on the command line alone.
+``error:`` line naming the exception type, no traceback), a stdout that
+cannot be written (closed by ``| head``, or on a full disk) among them.
+Output is deterministic: floats are printed with 12 significant digits,
+rationals exactly.  Input that the library rejects raises ValueError there and
+exits 2 here; the handlers check only the rules that exist on the command line
+alone.
 The ``--json`` params are the parsed arguments, except for ``torus`` and
 ``markov``: their handlers build the params, so each required mode group can
 be declared as one adjacent group and show as ``(A | B)`` in ``--help``.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -136,10 +139,11 @@ def _cmd_pieri(args) -> CommandResult:
     if args.canonical:  # only relabels: two partitions of n never differ by c * (1, ..., 1)
         items = [(canonicalize(lam).canonical, mult) for lam, mult in items]
         items.sort(key=lambda kv: kv[0].parts, reverse=True)
+    rows = [[str(lam), mult] for lam, mult in items]
     return CommandResult(
-        {"mults": {str(lam): mult for lam, mult in items}},
-        [f"{lam}: {mult}" for lam, mult in items],
-        [["partition", "multiplicity"]] + [[str(lam), mult] for lam, mult in items],
+        {"mults": dict(rows)},
+        [f"{lam}: {mult}" for lam, mult in rows],
+        [["partition", "multiplicity"]] + rows,
     )
 
 
@@ -449,8 +453,25 @@ def _run(argv: list[str] | None) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _render(result, args)
+    try:
+        _render(result, args)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout is gone: its reader closed it, or its disk is full
+        _discard_stdout()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return result.exit_code
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at os.devnull: the flush at exit cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

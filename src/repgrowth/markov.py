@@ -13,8 +13,8 @@ One exact p x p matrix type holds both kinds, with one set of checks, one produc
 
 For T = w (x) -, P(T) = D M_w D^-1 / dim(w) with M_w = ``fusion_matrix(w)`` and
 D = diag(1, ..., p), so P(T)^k = D M_w^k D^-1 / dim(w)^k: powers run on integers and
-``p_of_map`` makes them rational once.  The CLI compares M_w^k (matrix products) with M
-of ``tensor_power(w, k)`` (a vector squared through ``fuse``): independent computations.
+``p_of_map`` makes them rational once; ``decay_rate`` reads the one row it needs off M.  The
+CLI compares M_w^k (matrix products) with M of ``tensor_power(w, k)`` (``fuse`` squarings).
 """
 
 from __future__ import annotations
@@ -113,10 +113,7 @@ class TransitionMatrix(_ExactMatrix):
 
 
 class IntegerRingMap(_ExactMatrix):
-    """An additive map on R(Z/pZ) with non-negative integer matrix, row-major.
-
-    Column j lists the multiplicities of S(V_j).
-    """
+    """An additive map S on R(Z/pZ): non-negative integers, row-major; column j is S(V_j)."""
 
     _entry = staticmethod(operator.index)
     _column_rule = staticmethod(_require_non_negative)
@@ -124,53 +121,55 @@ class IntegerRingMap(_ExactMatrix):
     compose = _ExactMatrix.__matmul__
 
 
+def _q(column, zero: str) -> tuple[Fraction, ...]:
+    """Q of a coefficient column, ((i+1)*c/dim)_i; a zero column raises ValueError(zero)."""
+    dim = sum((i + 1) * c for i, c in enumerate(column))
+    if dim == 0:
+        raise ValueError(zero)
+    return tuple(Fraction((i + 1) * c, dim) for i, c in enumerate(column))
+
+
 def q_of(v: FusionVector) -> RatioVector:
     """Dimension-ratio vector Q(v)_i = (i+1)*v_i / dim(v); v must be nonzero."""
-    dim = v.dimension
-    if dim == 0:
-        raise ValueError("Q is undefined on the zero element")
-    return RatioVector(
-        v.p, tuple(Fraction((i + 1) * c, dim) for i, c in enumerate(v.coeffs))
-    )
+    return RatioVector(v.p, _q(v.coeffs, "Q is undefined on the zero element"))
 
 
 def p_of_map(s: IntegerRingMap) -> TransitionMatrix:
     """Column-stochastic matrix whose column j is Q(S(V_j)); every S(V_j) must be nonzero."""
-    columns = []
-    for j, column in enumerate(zip(*s.rows)):  # Q inline, so TransitionMatrix checks it once
-        dim = sum((i + 1) * c for i, c in enumerate(column))
-        if dim == 0:
-            raise ValueError(f"column {j} of the ring map is zero")
-        columns.append(tuple(Fraction((i + 1) * c, dim) for i, c in enumerate(column)))
+    columns = [_q(c, f"column {j} of the ring map is zero") for j, c in enumerate(zip(*s.rows))]
     return TransitionMatrix(s.p, tuple(zip(*columns)))
 
 
-def p_of_tensor_by(w: FusionVector) -> TransitionMatrix:
-    """P of the map "tensor by w" for a nonzero fusion vector w.
-
-    column j = Q(w (x) V_j).  These matrices are multiplicative in w, which
-    tests verify exactly; that is what makes powers of one matrix track
-    dimension ratios of tensor powers.
-    """
+def _tensor_by(w: FusionVector) -> tuple[tuple[int, ...], ...]:  # P needs w nonzero
     if w.dimension == 0:
         raise ValueError("cannot tensor by the zero element")
-    return p_of_map(IntegerRingMap(w.p, fusion_matrix(w)))
+    return fusion_matrix(w)
+
+
+def p_of_tensor_by(w: FusionVector) -> TransitionMatrix:
+    """P of the map "tensor by w" for a nonzero fusion vector w: column j = Q(w (x) V_j).
+
+    Multiplicative in w (tests verify it exactly), so powers of one matrix track the
+    dimension ratios of tensor powers.
+    """
+    return p_of_map(IntegerRingMap(w.p, _tensor_by(w)))
 
 
 def decay_rate(w: FusionVector) -> Fraction:
     """Worst-case non-projective mass retained by one (p-1)-fold step of w.
 
-    Let M = P(w^(x)(p-1) (x) -).  Every column of M must give positive mass
-    to the projective V_{p-1} (otherwise HypothesisViolationError); the decay
-    rate is the largest column sum over the non-projective entries, a rational
-    strictly below 1.  Columns sum to 1, so it is 1 minus the least entry of
-    the projective row.  The non-projective dimension fraction of w^(x)n then
-    falls at least geometrically with ratio decay_rate per p-1 steps, because
+    Let u = w^(x)(p-1).  Every column of P(u (x) -) must give positive mass to the
+    projective V_{p-1} (otherwise HypothesisViolationError); the decay rate is the largest
+    column sum over the non-projective entries, a rational strictly below 1: 1 minus the
+    least projective entry, p*M[p-1][j] / dim(u (x) V_j) with M = ``fusion_matrix(u)`` and
+    dim(u (x) V_j) = (j+1)*dim(w)^(p-1).  The non-projective dimension fraction of w^(x)n
+    then falls at least geometrically with ratio decay_rate per p-1 steps, because
     projective mass never flows back: V_{p-1} (x) V_i = (i+1) V_{p-1}.
     """
-    projective = p_of_tensor_by(tensor_power(w, w.p - 1)).rows[w.p - 1]
+    u = tensor_power(w, w.p - 1)
+    projective = _tensor_by(u)[w.p - 1]
     if 0 in projective:
         raise HypothesisViolationError(
             f"column {projective.index(0)} of P(w^(x){w.p - 1} (x) -) has no projective part"
         )
-    return 1 - min(projective)
+    return 1 - w.p * min(Fraction(m, j + 1) for j, m in enumerate(projective)) / u.dimension

@@ -19,9 +19,7 @@ from .growth import GrowthSeries
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, isqrt(p) + 1))
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def require_prime(p: int) -> None:
@@ -57,11 +55,15 @@ def basis_vector(p: int, i: int) -> FusionVector:
     return FusionVector(p, tuple(int(j == i) for j in range(p)))
 
 
-def fuse_basis(p: int, m: int, n: int) -> FusionVector:
-    """Decompose V_m (x) V_n over Z/pZ in characteristic p (see ``fuse``)."""
+def _require_pair(p: int, m: int, n: int) -> None:
     require_prime(p)
     if not (0 <= m < p and 0 <= n < p):
         raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
+
+
+def fuse_basis(p: int, m: int, n: int) -> FusionVector:
+    """Decompose V_m (x) V_n over Z/pZ in characteristic p (see ``fuse``)."""
+    _require_pair(p, m, n)
     return fuse(basis_vector(p, m), basis_vector(p, n))
 
 
@@ -163,9 +165,7 @@ def jordan_oracle(p: int, m: int, n: int) -> FusionVector:
     C(s, t-i) x^t y^(d+s-t).  There are exactly r_{s-1} - 2*r_s + r_{s+1}
     Jordan blocks of size s, and a size-s block is a copy of V_{s-1}.
     """
-    require_prime(p)
-    if not (0 <= m < p and 0 <= n < p):
-        raise ValueError(f"indices ({m}, {n}) outside 0..{p - 1}")
+    _require_pair(p, m, n)
 
     def rank(s: int) -> int:
         total = 0
@@ -184,5 +184,4 @@ def jordan_oracle(p: int, m: int, n: int) -> FusionVector:
     if len(ranks) == p + 1 and ranks[p] != 0:
         raise ArithmeticError(f"L**{p} is nonzero; ranks {ranks}")
     ranks.extend([0] * (p + 2 - len(ranks)))  # pad through r_{p+1}
-    coeffs = tuple(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] for s in range(1, p + 1))
-    return FusionVector(p, coeffs)
+    return FusionVector(p, tuple(a - 2 * b + c for a, b, c in zip(ranks, ranks[1:], ranks[2:])))

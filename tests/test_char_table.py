@@ -304,6 +304,52 @@ def test_table_validation_failures():
         )
 
 
+_I = root_of_unity(4)
+_NO_TRIVIAL = char_table._table(2, (1, 1), {"i": (1, _I), "mi": (1, -_I)})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: char_table._table(1, (1, 0), {"a": (1, 1), "b": (1, 1)}),
+         InvalidCharacterError, "class sizes (1, 0) not positive"),
+        (lambda: char_table._table(2, (1, 1), {"a": (1, 1)}),
+         InvalidCharacterError, "need exactly 2 named irreducibles"),
+        (lambda: CharacterTable(
+            2, (1, 1), ("a", "a"), (ClassFunction((1, 1)), ClassFunction((1, -1)))),
+         InvalidCharacterError, "irreducible names must be distinct"),
+        (lambda: char_table._table(2, (1, 1), {"a": (1, 1), "b": (1, -1, 1)}),
+         InvalidCharacterError, "b has 3 values, not 2"),
+        (lambda: char_table._table(2, (1, 1), {"a": (1, 1), "b": (2, 0)}),
+         InvalidCharacterError, "squared degrees do not sum to the group order"),
+        (lambda: regular_tensor_check(_NO_TRIVIAL, _NO_TRIVIAL.irreps[0]),
+         InvalidCharacterError, "table has no trivial character"),
+        (lambda: ClassFunction((1, 1)) * ClassFunction((1, 1, 1)),
+         ValueError, "class counts differ"),
+        (lambda: first_power_containing(
+            builtin_table("s3"), builtin_table("s3").irreps[2], 3, 6),
+         ValueError, "target index 3 out of range"),
+        (lambda: regular_tensor_check(builtin_table("s3"), ClassFunction((0, 1, 1))),
+         InvalidCharacterError, "degree 0 is not a positive integer"),
+        (lambda: regular_tensor_check(builtin_table("s3"), ClassFunction((Fraction(1, 2), 0, 0))),
+         InvalidCharacterError, "degree 1/2 is not a positive integer"),
+        (lambda: load_table("0 3\n1 3 2\n"),
+         TableParseError, "line 1: order 0 and class count 3 must be positive"),
+        (lambda: load_table("# header next\n6 -1\n"),
+         TableParseError, "line 2: order 6 and class count -1 must be positive"),
+    ],
+    ids=[
+        "sizes-not-positive", "irreducible-count", "names-distinct", "value-count",
+        "squared-degrees", "no-trivial", "class-counts", "target-range",
+        "degree-zero", "degree-fraction", "order-zero", "class-count-negative",
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_tensor_power_char_validates():
     s3 = builtin_table("s3")
     with pytest.raises(ValueError):

@@ -368,6 +368,72 @@ def test_exit_codes_at_the_process_level(s3_file):
             assert proc.stdout == "(4): 1\n(3,1): 3\n(2,2): 2\n"
 
 
+def _closed_stdout_run(argv, tmp_path, read=0):
+    """Exit code and stderr of the CLI in a fresh process whose stdout reader closes the pipe
+    after ``read`` bytes (at once for 0).  Block-buffered stdout, as in a terminal pipeline."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    with (tmp_path / "stderr").open("w+") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repgrowth.cli", *argv], stdout=writer, stderr=stderr, env=env
+        )
+        os.close(writer)
+        if read:
+            with os.fdopen(reader, "rb") as pipe:
+                assert pipe.read(read) == b"(60): 1\n(5"
+        code = proc.wait(timeout=60)
+        stderr.seek(0)
+        return code, stderr.read()
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # 312 KB of output, far beyond a 64 KiB pipe buffer: a write fails mid-output.
+        (["pieri", "--m", "5", "--n", "60"], 10),
+        # 27 bytes, buffered until the flush, which fails; the flush at exit must not fail again.
+        (["pieri", "--m", "2", "--n", "4"], 0),
+    ],
+    ids=["mid-output", "at-flush"],
+)
+def test_closed_stdout_exits_3_with_one_error_line(argv, read, tmp_path):
+    code, err = _closed_stdout_run(argv, tmp_path, read)
+    assert (code, err) == (3, "error: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_3_with_one_error_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repgrowth.cli", "pieri", "--m", "2", "--n", "4"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        3, "error: OSError: [Errno 28] No space left on device\n"
+    )
+
+
+class _ClosedPipe:
+    """A stdout without a file descriptor whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_without_a_descriptor_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["pieri", "--m", "2", "--n", "4"]) == 3
+    assert capsys.readouterr().err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_malformed_table_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.tbl"
     cases = [

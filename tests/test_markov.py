@@ -1,5 +1,7 @@
 """Transition matrices on the fusion ring: exact values, multiplicativity, decay."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,6 +175,62 @@ def test_decay_rate_frozen_values():
     assert 0 < rate7 < 1
 
 
+def _decay_rate_through_p(w):
+    """The rate through the rational matrix: 1 - min of row p-1 of P(w^(x)(p-1) (x) -)."""
+    projective = p_of_tensor_by(tensor_power(w, w.p - 1)).rows[w.p - 1]
+    if 0 in projective:
+        raise HypothesisViolationError(
+            f"column {projective.index(0)} of P(w^(x){w.p - 1} (x) -) has no projective part"
+        )
+    return 1 - min(projective)
+
+
+def _outcome(rate, w):
+    try:
+        value = rate(w)
+    except HypothesisViolationError as exc:
+        return "refused", str(exc)
+    return type(value), value
+
+
+def _small_seeds():
+    for p in (2, 3, 5):
+        for coeffs in itertools.product(range(3), repeat=p):
+            if any(coeffs):
+                yield FusionVector(p, coeffs)
+
+
+def _random_seeds():
+    rng = random.Random(22)
+    for p in (7, 11, 13):
+        for _ in range(12):
+            coeffs = [rng.choice((0, 0, 1, 2, 3)) for _ in range(p)]
+            coeffs[rng.randrange(p)] += 1
+            yield FusionVector(p, tuple(coeffs))
+
+
+def test_decay_rate_matches_the_rational_matrix():
+    # Every nonzero seed with coefficients <= 2 at p <= 5, then seeded random seeds.
+    seeds = [*_small_seeds(), *_random_seeds()]
+    assert len(seeds) == 8 + 26 + 242 + 36
+    outcomes = [_outcome(decay_rate, w) for w in seeds]
+    assert outcomes == [_outcome(_decay_rate_through_p, w) for w in seeds]
+    assert {kind for kind, _ in outcomes} == {Fraction, "refused"}
+
+
+def test_decay_rate_builds_no_exact_matrix(monkeypatch):
+    seeds = [basis_vector(5, 1), FusionVector(7, (1, 1, 0, 0, 0, 0, 2)), basis_vector(3, 0)]
+    expected = [_outcome(_decay_rate_through_p, w) for w in seeds]
+
+    def refuse(*args):
+        raise AssertionError("decay_rate built an exact matrix")
+
+    monkeypatch.setattr(markov, "p_of_map", refuse)
+    monkeypatch.setattr(markov._ExactMatrix, "__post_init__", refuse)
+    assert [_outcome(decay_rate, w) for w in seeds] == expected
+    assert expected[0] == (Fraction, F(11, 16)) and expected[2][0] == "refused"
+
+
 def test_decay_rate_requires_projective_mass_everywhere():
     with pytest.raises(HypothesisViolationError):
         decay_rate(basis_vector(3, 0))
@@ -191,6 +249,27 @@ def test_nonprojective_fraction_falls_geometrically():
                 power.dimension,
             )
             assert nonprojective <= rate**n
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntegerRingMap(2, ((1, 0), (0, 1))) @ IntegerRingMap(3, ((1, 0, 0),) * 3),
+         "mismatched primes 2 and 3"),
+        (lambda: p_of_tensor_by(basis_vector(3, 1)) @ p_of_tensor_by(basis_vector(2, 1)),
+         "mismatched primes 3 and 2"),
+        (lambda: p_of_tensor_by(basis_vector(3, 1)).apply(q_of(basis_vector(2, 1))),
+         "mismatched primes 3 and 2"),
+        (lambda: RatioVector(3, (F(1, 2), F(1, 2))), "expected 3 entries, got 2"),
+        (lambda: p_of_tensor_by(FusionVector(3, (0, 0, 0))), "cannot tensor by the zero element"),
+        (lambda: decay_rate(FusionVector(2, (0, 0))), "cannot tensor by the zero element"),
+    ],
+    ids=["integer-at", "rational-at", "apply", "ratio-count", "zero-p", "zero-decay"],
+)
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
 
 
 def test_integer_ring_map_validates():

@@ -101,6 +101,14 @@ def test_weights_must_be_integers():
         bernstein_zero_bound((2.9, -1), 3)
 
 
+@pytest.mark.parametrize(
+    "function", [zero_weight_count, zero_weight_probability, bernstein_zero_bound]
+)
+def test_weights_must_not_be_empty(function):
+    with pytest.raises(ValueError, match=r"^need at least one weight$"):
+        function((), 3)
+
+
 def test_zero_weight_probability_examples():
     assert zero_weight_probability((2, -1), 3) == Fraction(3, 8)
     assert zero_weight_probability((1, -1), 4) == Fraction(6, 16)

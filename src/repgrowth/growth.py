@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import exp, log
+from operator import sub
 
 from ._exact import natural
 
@@ -24,10 +25,12 @@ class GrowthSeries:
     def __post_init__(self) -> None:
         step, dim_v = natural(self.step, "step", 1), natural(self.dim_v, "dim_v", 1)
         values = tuple(map(operator.index, self.values))
+        block, bound = dim_v**step, 1
         for k, a in enumerate(values, start=1):
+            bound *= block  # dim_v**(step*k)
             if a < 0:
                 raise ValueError(f"negative count {a} at position {k}")
-            if a > dim_v ** (step * k):
+            if a > bound:
                 raise ValueError(
                     f"count {a} at position {k} exceeds dim_v**(step*k)"
                 )
@@ -59,13 +62,27 @@ def fekete_check(series: GrowthSeries) -> bool:
     Supermultiplicativity holds for genuine trivial-summand sequences (a
     trivial summand of each factor embeds as one of the product), and by
     Fekete's lemma it makes sup a_k**(1/(step*k)) the actual growth limit.
+
+    Pairs are screened by bit length first: a_l * a_k < 2**(bl + bk) with bl, bk
+    the factors' bit lengths, so a pair passes when a_{l+k} has more than
+    bl + bk bits, and a pair with a zero factor passes.  Only the rest multiply.
     """
     a = series.values
-    return all(
-        a[l + k - 1] >= a[l - 1] * a[k - 1]
-        for l in range(1, len(a) + 1)
-        for k in range(l, len(a) + 1 - l)
-    )
+    bits = [x.bit_length() for x in a]
+    floor = -1 - max(bits, default=0)  # a zero factor's bits: bl + floor < 0
+    factor_bits = [b if b else floor for b in bits]
+    n = len(a)
+    for l in range(1, n // 2 + 1):
+        al, bl = a[l - 1], factor_bits[l - 1]
+        if not al:
+            continue
+        # The bits of a_{l+k} less those of a_k, for k = l..n-l: (l, k) passes above bl.
+        margins = list(map(sub, bits[2 * l - 1 :], factor_bits[l - 1 : n - l]))
+        if min(margins) > bl:
+            continue
+        if any(a[l + k - 1] < al * a[k - 1] for k, m in enumerate(margins, start=l) if m <= bl):
+            return False
+    return True
 
 
 def estimate(series: GrowthSeries) -> GrowthEstimate:

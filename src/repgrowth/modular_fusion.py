@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb, isqrt
+from operator import add, mul, sub
 
 from ._exact import natural, power
 from .growth import GrowthSeries
@@ -111,25 +113,65 @@ def ts(v: FusionVector) -> int:
 def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
     """Trivial-summand counts of v^(x)(step*k) for k = 1..max_k.
 
-    V_{p-1} (x) V_i = (i+1) V_{p-1} never feeds back into V_0, so only entries 0..p-2
-    are kept, sparse, and a column of M_block is built on first use, not all p of them.
+    Modulo projectives, V_i maps to its Weyl numerator t^(i+1) - t^-(i+1) in
+    Z[t]/(t^(2p) - 1), where V_{p-1} maps to 0: ``fuse``'s rule is the
+    characteristic-zero ladder folded back at 0 and at p, so tensoring by the
+    block v^(x)step is multiplication by the block's SL_2 character
+    sum_j b_j (t^j + t^(j-2) + ... + t^-j).  Every V_l is self-dual, and
+    V_l (x) V_m holds V_0 once when l = m < p - 1 and never otherwise, so
+    ts(X (x) Y) = sum_{l <= p-2} X_l Y_l.  With x_i the non-projective part of
+    block^(x)i, a_{2i-1} = <x_i, x_{i-1}> and a_{2i} = <x_i, x_i>: ceil(max_k/2)
+    steps, the i-th over the at most min(p - 1, i*t + 1) indices that
+    block^(x)i reaches, t the block's top non-projective index.  A step
+    multiplies by the block's character once, or by v's step times when
+    that takes fewer terms in all.
     """
     step, max_k = natural(step, "step", 1), natural(max_k, "max_k", 1)
-    block = tensor_power(v, step)
-    columns: dict[int, list[tuple[int, int]]] = {}
-    current = {0: 1}
-    values = []
-    for _ in range(max_k):
-        following: dict[int, int] = {}
-        for i, a in current.items():
-            if i not in columns:
-                column = fuse(basis_vector(v.p, i), block).coeffs[: v.p - 1]
-                columns[i] = [(k, m) for k, m in enumerate(column) if m]
-            for k, m in columns[i]:
-                following[k] = following.get(k, 0) + a * m
-        current = following
-        values.append(current.get(0, 0))
-    return GrowthSeries(step=step, values=tuple(values), dim_v=v.dimension)
+    seed, block = _terms(v), _terms(tensor_power(v, step))
+    if not block:  # the block is projective, and so is each of its powers
+        return GrowthSeries(step=step, values=(0,) * max_k, dim_v=v.dimension)
+    factors = [block] if len(block) <= step * len(seed) else [seed] * step
+    values: list[int] = []
+    previous = current = [1]
+    while len(values) < max_k:
+        previous = current
+        for terms in factors:
+            current = _times_character(current, terms, v.p)
+        values += sum(map(mul, current, previous)), sum(map(mul, current, current))
+    return GrowthSeries(step=step, values=tuple(values[:max_k]), dim_v=v.dimension)
+
+
+def _terms(w: FusionVector) -> list[tuple[int, int]]:
+    """(j, b_j) for each non-projective V_j that w holds b_j > 0 copies of."""
+    return [(j, b) for j, b in enumerate(w.coeffs[: w.p - 1]) if b]
+
+
+def _times_character(x: list[int], terms: list[tuple[int, int]], p: int) -> list[int]:
+    """Multiplicities of V_0, V_1, ... in X (x) W modulo projectives.
+
+    X has x_l copies of V_l; W has b_j copies of V_j for (j, b_j) in
+    ``terms``, j < p - 1.  On the numerator N (N_e = x_{e-1} for 0 < e < p, odd about 0
+    and about p) with parity sums S_e = N_e + N_{e-2} + ..., the character of
+    V_j adds S_{e+j} - S_{e-j-2} at each e.
+    """
+    top = terms[-1][0]
+    width = min(p - 1, len(x) + top)
+    reach = width + top
+    padded = x + [0] * (2 * top + 1)
+    numerator = [-a for a in padded[top::-1]] + [0]  # e = -top-1 .. 0
+    numerator += padded[: min(reach, p - 1)]  # e = 1 .. p-1 at most
+    if reach >= p:  # e = p .. reach, where N_e = -N_{2p-e}
+        numerator += [0] + [-a for a in padded[p - 2 : 2 * p - reach - 2 : -1]]
+    sums = [0] * len(numerator)  # index e + top + 1
+    sums[0::2] = accumulate(numerator[0::2])
+    sums[1::2] = accumulate(numerator[1::2])
+    result = None
+    for j, b in terms:
+        box = map(sub, sums[top + j + 2 : top + j + 2 + width], sums[top - j : top - j + width])
+        if b != 1:
+            box = map(mul, box, repeat(b))
+        result = list(box) if result is None else list(map(add, result, box))
+    return result
 
 
 # --- Independent oracle: Jordan form of a tensor product of unipotent blocks ---

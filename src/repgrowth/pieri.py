@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from ._exact import natural
 from .growth import GrowthSeries
@@ -95,10 +96,18 @@ def trivial_multiplicity(m: int, n: int) -> int:
 
 
 def ts_series_sl(m: int, max_k: int) -> GrowthSeries:
-    """Trivial-summand counts of V^(x)(m*k) for k = 1..max_k, as a growth series."""
-    max_k = natural(max_k, "max_k", 1)
-    values = tuple(trivial_multiplicity(m, m * k) for k in range(1, max_k + 1))
-    return GrowthSeries(step=m, values=values, dim_v=m)
+    """Trivial-summand counts of V^(x)(m*k) for k = 1..max_k, as a growth series.
+
+    By Frobenius's formula the k^m rectangle has f_k = (mk)! prod_i i! / prod_i (k+i)!
+    standard tableaux (i = 0..m-1), so f_0 = 1 and
+    f_{k+1} = f_k * prod_{r=1..m} (mk+r) / prod_{i=1..m} (k+i), the division exact.
+    """
+    max_k, m = natural(max_k, "max_k", 1), natural(m, "m", 1)
+    values, f = [], 1
+    for k in range(max_k):
+        f = f * prod(range(m * k + 1, m * k + m + 1)) // prod(range(k + 1, k + m + 1))
+        values.append(f)
+    return GrowthSeries(step=m, values=tuple(values), dim_v=m)
 
 
 def mean_mass_report(d: Decomposition, theta: Fraction = Fraction(2, 3)) -> MeanMassReport:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgrowth.growth import GrowthSeries, estimate, fekete_check, nth_root_sequence
 from repgrowth.markov import decay_rate
@@ -22,6 +24,11 @@ def test_growth_series_validates():
     with pytest.raises(ValueError):
         GrowthSeries(step=1, values=(3,), dim_v=2)  # exceeds dim_v**1
     GrowthSeries(step=1, values=(2, 4), dim_v=2)  # boundary is allowed
+    GrowthSeries(step=3, values=(8, 64, 512), dim_v=2)
+    with pytest.raises(ValueError, match=r"^count 513 at position 3 exceeds dim_v\*\*\(step\*k\)$"):
+        GrowthSeries(step=3, values=(8, 64, 513), dim_v=2)
+    with pytest.raises(ValueError, match=r"^negative count -1 at position 2$"):
+        GrowthSeries(step=3, values=(8, -1, 10**9), dim_v=2)  # the first failure is named
 
 
 def test_nth_root_sequence_values():
@@ -47,6 +54,61 @@ def test_fekete_check():
     # Each pair is tested once, with k >= l: these fail only at (1, 2) and at (1, 1).
     assert not fekete_check(GrowthSeries(step=1, values=(2, 4, 7), dim_v=2))
     assert not fekete_check(GrowthSeries(step=1, values=(2, 3), dim_v=2))
+    # At the bit-length edge: 8 and 9 = 3 * 3 both have 2 + 2 bits.
+    assert not fekete_check(GrowthSeries(step=1, values=(3, 8), dim_v=3))
+    assert fekete_check(GrowthSeries(step=1, values=(3, 9), dim_v=3))
+
+
+def all_pairs_fekete(values):
+    """The rule with no screen: every pair l <= k with l + k inside the horizon multiplies."""
+    n = len(values)
+    return all(
+        values[l + k - 1] >= values[l - 1] * values[k - 1]
+        for l in range(1, n + 1)
+        for k in range(l, n + 1 - l)
+    )
+
+
+@st.composite
+def screen_edge_series(draw):
+    """Terms a_j <= 256**j built left to right against m_j = max over splits of a_l * a_{j-l}:
+    ties m_j and near misses m_j - 1 (the rule's edge, where a bit-length screen can
+    go wrong), values above m_j, zeros, powers of two and their predecessors, and
+    random values."""
+    values = []
+    for j in range(1, draw(st.integers(1, 14)) + 1):
+        top = max((values[l - 1] * values[j - l - 1] for l in range(1, j)), default=0)
+        kind = draw(st.sampled_from(("tie", "tie-1", "above", "above", "zero", "power", "random")))
+        if kind == "tie":
+            a = top
+        elif kind == "tie-1":
+            a = max(top - 1, 0)
+        elif kind == "above":
+            a = draw(st.integers(top, 256**j))
+        elif kind == "zero":
+            a = 0
+        elif kind == "power":
+            a = 2 ** draw(st.integers(0, 8 * j - 1)) - draw(st.integers(0, 1))
+        else:
+            a = draw(st.integers(0, 256**j))
+        values.append(a)
+    return GrowthSeries(step=1, values=tuple(values), dim_v=256)
+
+
+@settings(max_examples=300)
+@given(screen_edge_series())
+def test_fekete_check_matches_the_all_pairs_rule(series):
+    assert fekete_check(series) == all_pairs_fekete(series.values)
+
+
+def test_fekete_check_on_series_with_zero_terms():
+    # ts of V1 vanishes at odd powers; the series is supermultiplicative.
+    series = ts_series_modular(basis_vector(101, 1), 1, 400)
+    assert series.values[0::2] == (0,) * 200
+    assert fekete_check(series) and all_pairs_fekete(series.values)
+    # 0 has bit length 0: a zero factor passes, a zero a_{l+k} fails a nonzero product.
+    assert fekete_check(GrowthSeries(step=1, values=(0, 1, 0, 1, 0, 2), dim_v=2))
+    assert not fekete_check(GrowthSeries(step=1, values=(0, 1, 0, 0), dim_v=2))
 
 
 def test_estimate_brackets_catalan_growth():

@@ -1,5 +1,8 @@
 """Fusion rules for Z/pZ in characteristic p, cross-checked against Jordan forms."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,21 +289,26 @@ def test_ts_series_modular_matches_fuse_loop(coeffs, step, max_k):
     assert (series.step, series.dim_v) == (step, v.dimension)
 
 
-def test_ts_series_modular_builds_only_reachable_columns(monkeypatch):
-    calls = []
-
-    def counting_fuse(a, b):
-        calls.append(None)
-        return fuse(a, b)
-
-    monkeypatch.setattr(modular_fusion, "fuse", counting_fuse)
-    ts_series_modular(basis_vector(2003, 1), 1, 20)
-    assert 0 < len(calls) <= 25
+def test_ts_series_modular_costs_only_its_reachable_support():
+    # 40 terms of V1 reach V_0..V_20 of p = 1,000,003 indecomposables.  Building
+    # the seed and the dimension are single passes over p; a walk over all p - 1
+    # indices per step, or a fusion column of length p per index, misses the budget.
+    p = 1_000_003
+    v = basis_vector(p, 1)
+    start = time.perf_counter()
+    series = ts_series_modular(v, 1, 40)
+    elapsed = time.perf_counter() - start
+    # images_ts reads only p, the coefficients through the top index and the dimension.
+    view = SimpleNamespace(p=p, coeffs=(0, 1), dimension=2)
+    assert series.values == tuple(images_ts(view, k) for k in range(1, 41))
+    assert elapsed < 1.0, elapsed
 
 
 def test_ts_series_matches_tensor_power():
-    for p, step in ((3, 2), (5, 2), (2, 1)):
-        v = basis_vector(p, 1)
+    cases = [(basis_vector(p, 1), step) for p, step in ((3, 2), (5, 2), (2, 1))]
+    # V1 + V2 twice is four seed terms against five in the block, so v's character goes twice.
+    cases.append((FusionVector(7, (0, 1, 1, 0, 0, 0, 0)), 2))
+    for v, step in cases:
         series = ts_series_modular(v, step, 5)
         for k, a in enumerate(series.values, start=1):
             assert a == ts(tensor_power(v, step * k))

@@ -98,6 +98,29 @@ def test_ts_series_sl_matches_rectangles():
         ts_series_sl(2, 0)
 
 
+def test_ts_series_sl_ratio_matches_frobenius():
+    for m in range(1, 9):
+        series = ts_series_sl(m, 60)
+        assert series.values == tuple(hook_syt_count((k,) * m) for k in range(1, 61)), m
+        assert (series.step, series.dim_v) == (m, m)
+
+
+@pytest.mark.parametrize(
+    "m, max_k, error, message",
+    [
+        (0, 0, ValueError, "max_k must be at least 1, got 0"),
+        (2.0, 0, ValueError, "max_k must be at least 1, got 0"),
+        (0, 3, ValueError, "m must be at least 1, got 0"),
+        (-2, 3, ValueError, "m must be at least 1, got -2"),
+        (0, 3.0, TypeError, "float"),
+        (2.0, 3, TypeError, "float"),
+    ],
+)
+def test_ts_series_sl_checks_max_k_then_m(m, max_k, error, message):
+    with pytest.raises(error, match=message):
+        ts_series_sl(m, max_k)
+
+
 @settings(deadline=None)
 @given(m=st.integers(1, 6), k=st.integers(1, 4), n=st.integers(0, 20))
 def test_closed_forms_match_the_pieri_sweep(m, k, n):

@@ -13,7 +13,7 @@ def natural(value, name: str, least: int = 0) -> int:
 
 
 def power(base, n: int, product, one):
-    """base**n by repeated squaring under ``product``; ``one``, for n = 0, is never a factor."""
+    """base**n by repeated squaring under ``product``; ``one()`` is called only for n = 0."""
     n = natural(n, "exponent")
     result = None
     while n:
@@ -22,4 +22,4 @@ def power(base, n: int, product, one):
         n >>= 1
         if n:
             base = product(base, base)
-    return one if result is None else result
+    return one() if result is None else result

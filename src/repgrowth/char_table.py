@@ -84,7 +84,7 @@ class Cyclotomic:
         return -self + other
 
     def __pow__(self, d: int):
-        return power(self, d, mul, 1)
+        return power(self, d, mul, lambda: 1)
 
     def conjugate(self):
         gap = [0] * (self.n - len(self.coeffs))  # zeta**k -> zeta**(n - k)

@@ -84,11 +84,11 @@ def _ladder_str(terms) -> str:
 
 
 def _fusion_display(p: int, m: int, n: int, closed: FusionVector) -> str:
-    """Render V_m (x) V_n the way the closed-form rule derives it.
+    """Render V_m (x) V_n in ascending index order, projectives first past p - 1.
 
-    Below the threshold the ladder prints in ascending index order.  Above it
-    the split-off projective multiple closed.coeffs[p-1] leads, because the
-    remainder ladder never reaches V_{p-1}, and the remainder follows.
+    When m + n > p - 1, V_m (x) V_n holds m + n - p + 2 copies of the
+    projective V_{p-1}, and they lead; the non-projective terms follow.  At
+    m + n = p - 1 the one projective is the top of the ladder and prints last.
     """
     terms = list(enumerate(closed.coeffs))
     if m + n > p - 1:

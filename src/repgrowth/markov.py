@@ -97,7 +97,9 @@ class _ExactMatrix:
 
     def __pow__(self, exponent: int):
         """[self]^exponent by repeated squaring on the rows."""
-        identity = tuple(tuple(int(i == j) for j in range(self.p)) for i in range(self.p))
+        def identity():
+            return tuple(tuple(int(i == j) for j in range(self.p)) for i in range(self.p))
+
         return type(self)(self.p, power(self.rows, exponent, _matmul, identity))
 
 

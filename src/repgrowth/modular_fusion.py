@@ -1,11 +1,13 @@
 """The representation ring of Z/pZ over a field of characteristic p.
 
 There are exactly p indecomposable modules V_0, ..., V_{p-1}, with dim V_i =
-i + 1 (V_i is a single Jordan block of size i + 1 for a generator).  Tensor
-products decompose by a closed-form rule; ``jordan_oracle`` re-derives the
-same decomposition independently, as the Jordan type of x + y on
-F_p[x,y]/(x^(m+1), y^(n+1)), from the ranks of its degree blocks; the tests
-compare both.
+i + 1 (V_i is a single Jordan block of size i + 1 for a generator).  Modulo
+the projective V_{p-1}, V_i is its Weyl numerator t^(i+1) - t^-(i+1) in
+Z[t]/(t^(2p) - 1), and the numerator of X (x) W is X's numerator times W's
+SL_2 character; the multiple of V_{p-1} is the rest of the dimension, over p.
+``jordan_oracle`` re-derives the same decomposition independently, as the
+Jordan type of x + y on F_p[x,y]/(x^(m+1), y^(n+1)), from the ranks of its
+degree blocks; the tests compare both.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class FusionVector:
 
     @property
     def dimension(self) -> int:
-        return sum((i + 1) * c for i, c in enumerate(self.coeffs))
+        return sum(map(mul, self.coeffs, range(1, self.p + 1)))
 
 
 def basis_vector(p: int, i: int) -> FusionVector:
@@ -72,32 +74,27 @@ def fuse_basis(p: int, m: int, n: int) -> FusionVector:
 def fuse(a: FusionVector, b: FusionVector) -> FusionVector:
     """Tensor product in the representation ring, extended bilinearly.
 
-    V_i (x) V_j splits off d = max(0, i + j - (p - 2)) copies of the projective
-    V_{p-1}, and the rest is the Clebsch-Gordan ladder V_|i-j| + V_|i-j|+2 + ...
-    + V_{i+j-2d}, empty when min(i, j) < d.  At i + j = p - 1 the one projective
-    is the top term of the characteristic-zero ladder V_|i-j| + ... + V_{i+j}.
+    Modulo projectives, the Weyl numerator of a (x) b is one operand's
+    numerator times the other's SL_2 character (``_times_character``); the
+    character comes from the operand with fewer non-projective terms.  With
+    x_i copies of V_i for i < p - 1 in that product, a (x) b holds
+    (dim a * dim b - sum_i (i + 1) x_i) / p copies of the projective V_{p-1}.
     """
     if a.p != b.p:
         raise ValueError(f"mismatched primes {a.p} and {b.p}")
     p = a.p
-    coeffs = [0] * p
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if not bj:
-                continue
-            c = ai * bj
-            d = max(0, i + j - (p - 2))
-            coeffs[p - 1] += c * d
-            for k in range(abs(i - j), i + j - 2 * d + 1, 2):
-                coeffs[k] += c
-    return FusionVector(p, tuple(coeffs))
+    terms_a, terms_b = _terms(a), _terms(b)
+    x, terms = (b, terms_a) if len(terms_a) < len(terms_b) else (a, terms_b)
+    low = _times_character(list(x.coeffs[: p - 1]), terms, p) if terms else [0] * (p - 1)
+    projective, rest = divmod(a.dimension * b.dimension - sum(map(mul, low, range(1, p))), p)
+    if rest:
+        raise ArithmeticError(f"the non-projective part leaves a remainder of {rest} mod {p}")
+    return FusionVector(p, (*low, projective))
 
 
 def tensor_power(v: FusionVector, n: int) -> FusionVector:
     """n-th tensor power by repeated squaring; n = 0 gives the trivial V_0."""
-    return power(v, n, fuse, basis_vector(v.p, 0))
+    return power(v, n, fuse, lambda: basis_vector(v.p, 0))
 
 
 def fusion_matrix(w: FusionVector) -> tuple[tuple[int, ...], ...]:
@@ -114,9 +111,8 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
     """Trivial-summand counts of v^(x)(step*k) for k = 1..max_k.
 
     Modulo projectives, V_i maps to its Weyl numerator t^(i+1) - t^-(i+1) in
-    Z[t]/(t^(2p) - 1), where V_{p-1} maps to 0: ``fuse``'s rule is the
-    characteristic-zero ladder folded back at 0 and at p, so tensoring by the
-    block v^(x)step is multiplication by the block's SL_2 character
+    Z[t]/(t^(2p) - 1), where V_{p-1} maps to 0, and as in ``fuse`` tensoring
+    by the block v^(x)step is multiplication by the block's SL_2 character
     sum_j b_j (t^j + t^(j-2) + ... + t^-j).  Every V_l is self-dual, and
     V_l (x) V_m holds V_0 once when l = m < p - 1 and never otherwise, so
     ts(X (x) Y) = sum_{l <= p-2} X_l Y_l.  With x_i the non-projective part of

@@ -82,6 +82,32 @@ def stencil_oracle(p, m, n):
     return FusionVector(p, coeffs)
 
 
+def ladder_fuse(a, b):
+    """``fuse`` summed pair by pair over the Clebsch-Gordan ladder; shares no code with it.
+
+    V_i (x) V_j splits off d = max(0, i + j - (p - 2)) copies of the projective
+    V_{p-1}, and the rest is the Clebsch-Gordan ladder V_|i-j| + V_|i-j|+2 + ...
+    + V_{i+j-2d}, empty when min(i, j) < d.  At i + j = p - 1 the one projective
+    is the top term of the characteristic-zero ladder V_|i-j| + ... + V_{i+j}.
+    """
+    if a.p != b.p:
+        raise ValueError(f"mismatched primes {a.p} and {b.p}")
+    p = a.p
+    coeffs = [0] * p
+    for i, ai in enumerate(a.coeffs):
+        if not ai:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if not bj:
+                continue
+            c = ai * bj
+            d = max(0, i + j - (p - 2))
+            coeffs[p - 1] += c * d
+            for k in range(abs(i - j), i + j - 2 * d + 1, 2):
+                coeffs[k] += c
+    return FusionVector(p, tuple(coeffs))
+
+
 def images_ts(v, n):
     """ts(v^(x)n) by the method of images: -1/2 sum_{j = 0 mod 2p} [q^j] (q - 1/q)^2 chi(q)^n.
 
@@ -208,6 +234,71 @@ def test_fuse_is_the_bilinear_extension_of_the_oracle(pair):
     assert fuse(a, b).coeffs == tuple(expected)
 
 
+PRIMES_TO_61 = [p for p in range(62) if is_prime(p)]
+
+
+@st.composite
+def fusion_operand(draw, p):
+    """A zero, projective-only, sparse (at most three terms) or dense element at p."""
+    kind = draw(st.sampled_from(("zero", "projective", "sparse", "dense")))
+    if kind == "dense":
+        return FusionVector(p, tuple(draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))))
+    coeffs = [0] * p
+    if kind == "projective":
+        coeffs[p - 1] = draw(st.integers(1, 3))
+    elif kind == "sparse":
+        terms = st.dictionaries(st.integers(0, p - 1), st.integers(1, 3), max_size=3)
+        for i, c in draw(terms).items():
+            coeffs[i] = c
+    return FusionVector(p, tuple(coeffs))
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_61)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_fuse_matches_the_ladder_in_both_orders(p, data):
+    a, b = data.draw(fusion_operand(p)), data.draw(fusion_operand(p))
+    expected = ladder_fuse(a, b)
+    assert fuse(a, b) == expected
+    assert fuse(b, a) == expected
+
+
+def test_fuse_refuses_a_character_product_off_by_one(monkeypatch):
+    # Entry i of the non-projective part adds i + 1 < p to the dimension, so a
+    # product off by one anywhere leaves a nonzero remainder mod p.
+    times_character = modular_fusion._times_character
+    p = 7
+    a, b = FusionVector(p, (1, 2, 0, 1, 0, 1, 1)), FusionVector(p, (0, 0, 1, 0, 2, 0, 0))
+    assert fuse(a, b) == ladder_fuse(a, b)
+    for entry in range(p - 1):
+        for delta in (1, -1):
+
+            def off_by_one(x, terms, q, entry=entry, delta=delta):
+                product = times_character(x, terms, q)
+                product[entry] += delta
+                return product
+
+            monkeypatch.setattr(modular_fusion, "_times_character", off_by_one)
+            with pytest.raises(ArithmeticError, match="remainder"):
+                fuse(a, b)
+
+
+def test_fuse_takes_the_character_of_the_operand_with_fewer_terms(monkeypatch):
+    times_character = modular_fusion._times_character
+    lengths = []
+
+    def counting(x, terms, q):
+        lengths.append(len(terms))
+        return times_character(x, terms, q)
+
+    monkeypatch.setattr(modular_fusion, "_times_character", counting)
+    p = 1009
+    v1, dense = basis_vector(p, 1), FusionVector(p, tuple(1 + i % 3 for i in range(p)))
+    product = fuse(v1, dense)
+    assert product == fuse(dense, v1) == ladder_fuse(v1, dense)
+    assert lengths == [1, 1]
+
+
 def test_fuse_associative_on_basis():
     for p in (2, 3, 5):
         for i in range(p):
@@ -242,6 +333,25 @@ def test_tensor_power_squares_without_the_identity(monkeypatch):
         calls.clear()
         tensor_power(v, n)
         assert len(calls) == max(0, n.bit_length() + n.bit_count() - 2), n
+
+
+def test_tensor_power_builds_the_identity_only_for_n_zero(monkeypatch):
+    calls = []
+
+    def counting_basis_vector(p, i):
+        calls.append((p, i))
+        return basis_vector(p, i)
+
+    monkeypatch.setattr(modular_fusion, "basis_vector", counting_basis_vector)
+    v = FusionVector(5, (1, 1, 0, 0, 0))
+    for n in (1, 2, 3, 8, 13):
+        tensor_power(v, n)
+    assert calls == []
+    with pytest.raises(ValueError, match="^exponent must be non-negative, got -1$"):
+        tensor_power(v, -1)
+    assert calls == []
+    assert tensor_power(v, 0) == basis_vector(5, 0)
+    assert calls == [(5, 0)]
 
 
 def test_tensor_power_matches_repeated_fuse():

@@ -1,4 +1,4 @@
-"""Integer rules stated once for the whole library: bounded arguments and powers."""
+"""Rules stated once for the whole library: bounded arguments, powers, unchecked values."""
 
 import operator
 
@@ -23,3 +23,11 @@ def power(base, n: int, product, one):
         if n:
             base = product(base, base)
     return one() if result is None else result
+
+
+def unchecked(cls, **fields):
+    """A frozen dataclass instance built without ``__post_init__``: only for fields the
+    library made itself and that already obey every check the constructor would make."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj

@@ -238,8 +238,12 @@ class CharacterTable:
                 raise InvalidCharacterError(f"{name} has degree {chi.values[0]}")
         if sum(self.degree(i) ** 2 for i in range(k)) != self.group_order:
             raise InvalidCharacterError("squared degrees do not sum to the group order")
-        n = lcm(*(_order(v) for chi in self.irreps for v in chi.values))
-        columns = tuple(_columns(chi.values, n) for chi in self.irreps)
+        # _order and _terms once per distinct value, keyed by representation: a table has
+        # few ((Z/4)^3 has 4 among 4,096), and a Cyclotomic's own hash reduces mod Phi_n.
+        distinct = {_key(v): v for chi in self.irreps for v in chi.values}
+        n = lcm(*map(_order, distinct.values()))
+        terms = {key: dict(_terms(v, n)) for key, v in distinct.items()}
+        columns = tuple(_columns(chi.values, n, terms) for chi in self.irreps)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_row_columns", columns)
         # The Gram check, one pairing per row.  Row j's columns, times the lcm D of their
@@ -302,10 +306,15 @@ class CharacterTable:
             ) from None
 
 
-def _columns(values: tuple[Scalar, ...], n: int) -> dict[int, list]:
-    """{e: the coefficient of zeta_n**e in each value}, for the exponents e in use."""
-    terms = [dict(_terms(value, n)) for value in values]
-    return {e: [t.get(e, 0) for t in terms] for e in set().union(*terms)}
+def _key(value: Scalar):
+    return (value.n, value.coeffs) if isinstance(value, Cyclotomic) else value
+
+
+def _columns(values: tuple[Scalar, ...], n: int, terms: dict | None = None) -> dict[int, list]:
+    """{e: the coefficient of zeta_n**e in each value}, for the exponents e in use; ``terms``,
+    when given, holds each value's {e: coefficient} under its ``_key``."""
+    found = [terms[_key(v)] for v in values] if terms else [dict(_terms(v, n)) for v in values]
+    return {e: [t.get(e, 0) for t in found] for e in set().union(*found)}
 
 
 def _sized(columns: dict[int, list], sizes: tuple[int, ...]) -> dict[int, list]:

@@ -107,7 +107,7 @@ def _matrix_lines(matrices, result: dict) -> list[str]:
     """
     for _, key, matrix in matrices:
         result[key] = [[x if isinstance(x, int) else str(x) for x in row] for row in matrix.rows]
-    return [f"{label} = {_matrix_str(matrix.rows)}" for label, _, matrix in matrices]
+    return [f"{label} = {_matrix_str(result[key])}" for label, key, _ in matrices]
 
 
 _SEED_TERM = re.compile(r"\s*(?:(\d+)\s*\*\s*)?V(\d+)\s*", re.ASCII)
@@ -136,7 +136,7 @@ def _parse_seed(p: int, text: str) -> FusionVector:
 def _cmd_pieri(args) -> CommandResult:
     d = tensor_power_decomposition(args.m, args.n)
     items = list(d.mults.items())
-    if args.canonical:  # only relabels: two partitions of n never differ by c * (1, ..., 1)
+    if args.canonical:  # relabelling reorders: (4,1,1) precedes (3,3,0), its (3,0,0) follows
         items = [(canonicalize(lam).canonical, mult) for lam, mult in items]
         items.sort(key=lambda kv: kv[0].parts, reverse=True)
     rows = [[str(lam), mult] for lam, mult in items]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from ._exact import power
@@ -42,20 +43,22 @@ def _matmul(a, b) -> tuple[tuple, ...]:
 
 def _rational(value) -> Fraction:
     """An exact entry as a Fraction; any other, a float or a string among them, raises."""
-    if not isinstance(value, Rational):
+    if type(value) is not Fraction and not isinstance(value, Rational):
         raise TypeError(f"entry {value!r} is not Rational")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _require_non_negative(entries, name: str) -> None:
-    if any(e < 0 for e in entries):
+    if any(e.numerator < 0 for e in entries):
         raise ValueError(f"negative entry in {name}")
 
 
 def _require_probability(entries, name: str) -> None:
-    """The rule of a probability vector: non-negative entries that sum to exactly 1."""
+    """The rule of a probability vector: non-negative entries that sum to exactly 1, the
+    sum taken in integers, each numerator scaled to the lcm of the denominators."""
     _require_non_negative(entries, name)
-    if sum(entries) != 1:
+    common = lcm(*(e.denominator for e in entries))
+    if sum(e.numerator * (common // e.denominator) for e in entries) != common:
         raise ValueError(f"{name} sums to {sum(entries)}, not 1")
 
 

@@ -123,7 +123,8 @@ def ts_series_modular(v: FusionVector, step: int, max_k: int) -> GrowthSeries:
     that takes fewer terms in all.
     """
     step, max_k = natural(step, "step", 1), natural(max_k, "max_k", 1)
-    seed, block = _terms(v), _terms(tensor_power(v, step))
+    seed = _terms(v)
+    block = seed if step == 1 else _terms(tensor_power(v, step))
     if not block:  # the block is projective, and so is each of its powers
         return GrowthSeries(step=step, values=(0,) * max_k, dim_v=v.dimension)
     factors = [block] if len(block) <= step * len(seed) else [seed] * step

@@ -16,7 +16,7 @@ from math import factorial, perm, prod
 from numbers import Rational
 from typing import Iterable, Sequence, Union
 
-from ._exact import natural
+from ._exact import natural, unchecked
 
 
 class InvalidPartitionError(ValueError):
@@ -104,8 +104,8 @@ def canonicalize(parts: PartitionLike, m: int | None = None) -> SlWeight:
     shift by a multiple of (1, ..., 1) landing in canonical form.
     """
     lam = _as_partition(parts, m)
-    shift = lam.parts[-1]
-    return SlWeight(Partition(tuple(x - shift for x in lam.parts), lam.m))
+    shift = lam.parts[-1]  # a checked Partition less its last part is one too
+    return SlWeight(unchecked(Partition, parts=tuple(x - shift for x in lam.parts), m=lam.m))
 
 
 def _vandermonde(l: Sequence[int]) -> int:

@@ -7,12 +7,13 @@ shape lam: Frobenius's count.  Trivial counts are those of the rectangles (k, ..
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
+from operator import mul
 
-from ._exact import natural
+from ._exact import natural, unchecked
 from .growth import GrowthSeries
 from .partitions import Partition, hook_syt_count, is_close_to_mean, weyl_dimension
 
@@ -69,20 +70,37 @@ class MeanMassReport:
 
 
 def tensor_power_decomposition(m: int, n: int) -> Decomposition:
-    """Decompose V^(x)n for the natural m-dimensional SL_m module."""
+    """Decompose V^(x)n for the natural m-dimensional SL_m module.
+
+    One walk fixes rows in the order the keys of a Decomposition run and stops when no
+    boxes are left, so it fixes at most min(m, n) rows.  It carries the Vandermonde
+    product of the lam_i - i over the rows fixed so far; at a shape with r nonzero rows,
+    Frobenius's count is n! times that product over prod_i (lam_i + r - i)!, each
+    factorial read from one table of n + min(m, n) entries.  The shapes and the
+    Decomposition are built by the library itself, so neither is checked again.
+    """
     m, n = natural(m, "m", 1), natural(n, "n")
-    shapes = (Partition(p, m) for p in _partitions(n, m, n))
-    return Decomposition(m, n, {lam: hook_syt_count(lam) for lam in shapes})
+    factorials = list(accumulate(range(1, n + min(m, n)), mul, initial=1))
+    zeros, mults = (0,) * m, {}
 
+    def walk(left: int, rows: tuple[int, ...], shifted: tuple[int, ...], delta: int) -> None:
+        r = len(rows) + 1  # this call fixes row r; shifted holds lam_i - i of rows 1..r-1
+        # A row of at least left/(m - r + 1) leaves each later row at most this one.
+        for part in range(min(left, rows[-1] if rows else n), -(-left // (m - r + 1)) - 1, -1):
+            x, product = part - r, delta
+            for y in shifted:
+                product *= y - x
+            if part < left:
+                walk(left - part, rows + (part,), shifted + (x,), product)
+                continue
+            denominator = 1
+            for y in shifted + (x,):
+                denominator *= factorials[y + r]
+            shape = unchecked(Partition, parts=rows + (part,) + zeros[r:], m=m)
+            mults[shape] = factorials[n] * product // denominator
 
-def _partitions(n: int, m: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with at most m parts, none above ``largest``, zero-padded to m."""
-    if n == 0 or m == 1:  # n <= largest here: first >= n/m leaves n - first <= (m-1)*first
-        yield (n,) + (0,) * (m - 1)
-        return
-    for first in range(min(n, largest), -(-n // m) - 1, -1):
-        for rest in _partitions(n - first, m - 1, first):
-            yield (first, *rest)
+    walk(n, (), (), 1)
+    return unchecked(Decomposition, m=m, n=n, mults=mults)
 
 
 def trivial_multiplicity(m: int, n: int) -> int:

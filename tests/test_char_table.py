@@ -610,6 +610,36 @@ def _z4_cubed():
     return char_table._table(64, (1,) * 64, rows)
 
 
+def test_table_finds_terms_once_per_distinct_value(monkeypatch):
+    # (Z/4)^3 has 4,096 values, and only 4 distinct ones: 1, i, -1 and -i.
+    rows = _z4_cubed().irreps
+    calls = []
+    terms = char_table._terms
+
+    def counting_terms(value, n):
+        calls.append(value)
+        return terms(value, n)
+
+    monkeypatch.setattr(char_table, "_terms", counting_terms)
+    table = CharacterTable(64, (1,) * 64, tuple(f"x{i}" for i in range(64)), rows)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    for chi, columns in zip(table.irreps, table._row_columns):
+        assert columns == char_table._columns(chi.values, table._n)
+
+
+def test_table_terms_agree_for_equal_values_of_different_types():
+    # 1 and Fraction(1) share one key, so one's terms stand in for the other's.
+    mixed = CharacterTable(
+        6, (1, 3, 2), ("triv", "sign", "std"),
+        tuple(ClassFunction(v) for v in ((1, Fraction(1), 1), (Fraction(1), -1, 1), (2, 0, -1))),
+    )
+    s3 = builtin_table("s3")
+    std = ClassFunction((2, 0, -1))
+    for d in range(6):
+        assert decompose(mixed, tensor_power_char(std, d)) == decompose(s3, tensor_power_char(std, d))
+
+
 def test_gram_check_matches_pairwise_on_sixty_four_classes():
     table = _z4_cubed()
     last = len(table.irreps) - 1

@@ -65,6 +65,15 @@ def test_pieri_canonical_labels_of_one_decomposition_are_distinct():
             assert len({canonicalize(lam).canonical for lam in shapes}) == len(shapes), (m, n)
 
 
+def test_pieri_canonical_sorts_again_after_relabelling(capsys):
+    # Relabelling reorders: (4,1,1) comes before (3,3,0), but its class (3,0,0) after it.
+    shapes = [lam.parts for lam in tensor_power_decomposition(3, 6).mults]
+    assert shapes.index((4, 1, 1)) < shapes.index((3, 3, 0))
+    assert canonicalize((4, 1, 1)).canonical.parts == (3, 0, 0) < (3, 3, 0)
+    code, out, _ = run(["pieri", "--m", "3", "--n", "6", "--canonical"], capsys)
+    assert (code, out) == (0, "(6): 1\n(5,1): 5\n(4,2): 9\n(3,3): 5\n(3): 10\n(2,1): 16\n(): 5\n")
+
+
 def test_pieri_csv_output(capsys):
     code, out, _ = run(["pieri", "--m", "2", "--n", "4", "--csv"], capsys)
     assert code == 0

@@ -58,6 +58,66 @@ def test_transition_matrix_validates_column_sums():
         TransitionMatrix(2, ((F(1), F(1, 4)), (F(0), F(1, 4))))
 
 
+def fraction_sum_rule(entries, name):
+    """The probability rule as a Fraction sum compared with 1, the form before integer sums."""
+    if any(e < 0 for e in entries):
+        raise ValueError(f"negative entry in {name}")
+    if sum(entries) != 1:
+        raise ValueError(f"{name} sums to {sum(entries)}, not 1")
+
+
+def _refusal(rule, entries):
+    try:
+        rule(entries, "column 3")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.lists(st.fractions(-2, 2, max_denominator=60), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_integer_probability_rule_matches_the_fraction_sum(entries, normalise):
+    total = sum(entries)
+    if normalise and total:  # scaled to sum to exactly 1, so both rules can accept
+        entries = [e / total for e in entries]
+    entries = tuple(entries)
+    assert _refusal(markov._require_probability, entries) == _refusal(fraction_sum_rule, entries)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RatioVector(2, (F(1, 2), F(1, 3))), ValueError,
+         "the ratio vector sums to 5/6, not 1"),
+        (lambda: RatioVector(2, (F(3, 2), F(-1, 2))), ValueError,
+         "negative entry in the ratio vector"),
+        (lambda: RatioVector(2, (0.5, 0.5)), TypeError, "entry 0.5 is not Rational"),
+        (lambda: RatioVector(2, ("1/2", "1/2")), TypeError, "entry '1/2' is not Rational"),
+        (lambda: TransitionMatrix(2, ((0.5, 1), (0.5, 0))), TypeError,
+         "entry 0.5 is not Rational"),
+        (lambda: TransitionMatrix(2, ((F(1, 3), 1), (F(1, 3), 0))), ValueError,
+         "column 0 sums to 2/3, not 1"),
+        (lambda: TransitionMatrix(2, ((F(4, 3), 1), (F(-1, 3), 0))), ValueError,
+         "negative entry in column 0"),
+        (lambda: IntegerRingMap(2, ((1, 0), (-1, 1))), ValueError, "negative entry in column 0"),
+    ],
+)
+def test_caller_built_vectors_and_matrices_are_still_checked(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_entries_keep_their_fractions_and_convert_other_rationals():
+    half = F(1, 2)
+    v = RatioVector(2, (half, 1 - half))
+    assert v.entries[0] is half
+    w = RatioVector(2, (1, 0))
+    assert [type(x) for x in w.entries] == [Fraction, Fraction] and w.entries == (1, 0)
+
+
 def test_q_of_examples():
     assert q_of(basis_vector(3, 1)).entries == (0, 1, 0)
     assert q_of(FusionVector(3, (1, 0, 1))).entries == (F(1, 4), 0, F(3, 4))

@@ -363,6 +363,26 @@ def test_tensor_power_matches_repeated_fuse():
             running = fuse(running, v)
 
 
+def test_ts_series_modular_scans_v_once_at_step_one(monkeypatch):
+    # At step 1 the block is v itself, so its terms are the seed's.
+    v = FusionVector(7, (0, 2, 1, 0, 0, 0, 1))
+    block = tensor_power(v, 2)
+    calls = []
+    terms = modular_fusion._terms
+
+    def counting_terms(w):
+        calls.append(w)
+        return terms(w)
+
+    monkeypatch.setattr(modular_fusion, "_terms", counting_terms)
+    one = ts_series_modular(v, 1, 12)
+    assert calls == [v]
+    calls.clear()
+    two = ts_series_modular(v, 2, 6)
+    assert (calls[0], calls[-1]) == (v, block)  # fuse scans its operands in between
+    assert two.values == one.values[1::2]
+
+
 def test_ts_examples():
     assert ts(FusionVector(3, (4, 1, 0))) == 4
     assert ts(basis_vector(5, 0)) == 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth.growth import fekete_check
-from repgrowth.partitions import Partition, hook_syt_count
+from repgrowth.partitions import Partition, canonicalize, hook_syt_count
 from repgrowth.pieri import (
     Decomposition,
     mean_mass_report,
@@ -60,6 +60,48 @@ def test_decomposition_validates_keys():
         Decomposition(2, 3, {Partition((1, 1), 2): 1})
     with pytest.raises(ValueError):
         Decomposition(2, 2, {Partition((1, 1), 2): 0})
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (2, 0), (3, 6), (4, 12), (6, 20), (50, 7)])
+def test_walk_builds_what_the_checked_constructors_build(m, n):
+    # The walk builds its shapes and its Decomposition without running their checks.
+    d = tensor_power_decomposition(m, n)
+    for lam in d.mults:
+        checked = Partition(lam.parts, m)
+        assert lam == checked and hash(lam) == hash(checked)
+        assert type(lam.parts) is tuple and len(lam.parts) == m
+        assert all(type(x) is int for x in lam.parts)
+        shift = lam.parts[-1]
+        assert canonicalize(lam).canonical == Partition(tuple(x - shift for x in lam.parts), m)
+    again = Decomposition(m, n, dict(d.mults))
+    assert again == d and list(again.mults.items()) == list(d.mults.items())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition((1, 2), 2), "(1, 2) is not weakly decreasing"),
+        (lambda: Partition((2, -1), 2), "(2, -1) has a negative part"),
+        (lambda: Partition((1, 1, 1), 2), "(1, 1, 1) has more than 2 parts"),
+        (lambda: Partition((2.0, 1), 2), "'float' object cannot be interpreted as an integer"),
+        (lambda: canonicalize((1, 2)), "(1, 2) is not weakly decreasing"),
+        (lambda: Decomposition(2, 3, {Partition((1, 1), 2): 1}),
+         "(1, 1) is not a partition of 3 with 2 parts"),
+        (lambda: Decomposition(3, 2, {Partition((1, 1), 2): 1}),
+         "(1, 1) is not a partition of 2 with 3 parts"),
+        (lambda: Decomposition(2, 2, {Partition((1, 1), 2): 0}),
+         "multiplicity of (1, 1) must be positive"),
+    ],
+)
+def test_caller_built_shapes_are_still_checked(build, message):
+    with pytest.raises((ValueError, TypeError)) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_caller_built_decomposition_is_still_sorted():
+    d = Decomposition(2, 4, {Partition((2, 2), 2): 2, Partition((4,), 2): 1})
+    assert [lam.parts for lam in d.mults] == [(4, 0), (2, 2)]
 
 
 def test_multiplicities_are_syt_counts():

@@ -8,9 +8,9 @@ Output is deterministic: floats are printed with 12 significant digits,
 rationals exactly.  Input that the library rejects raises ValueError there and
 exits 2 here; the handlers check only the rules that exist on the command line
 alone.
-The ``--json`` params are the parsed arguments, except for ``torus`` and
-``markov``: their handlers build the params, so each required mode group can
-be declared as one adjacent group and show as ``(A | B)`` in ``--help``.
+The ``--json`` params are the names each (sub)command declares in ``build_parser``
+that were parsed or that its handler resolved, in declared order; a resolved value
+(the weights as a list, the markov power, the first-power cap) replaces the parsed one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._exact import natural
@@ -70,7 +70,7 @@ class CommandResult:
     lines: list[str]
     csv_rows: list[list[object]] | None = None
     exit_code: int = 0
-    params: dict | None = None  # JSON params, where they differ from the parsed arguments
+    params: dict = field(default_factory=dict)  # resolved values of declared params
 
 
 def _fmt_float(x: float) -> str:
@@ -188,6 +188,8 @@ def _cmd_fusion(args) -> CommandResult:
 
 def _cmd_markov(args) -> CommandResult:
     if args.example:
+        if "power" in args:
+            raise UsageError("--power goes only with --seed")
         if args.p != 2:
             raise UsageError("the worked non-multiplicativity example needs --p 2")
         s = IntegerRingMap(2, ((2, 1), (0, 1)))
@@ -211,20 +213,19 @@ def _cmd_markov(args) -> CommandResult:
             lines.append("unexpected: P(S^2) == P(S)^2")
         else:
             lines.append("P(S^2) != P(S)^2: P is not multiplicative for this map")
-        example = {"p": 2, "example": True}
-        return CommandResult(result, lines, exit_code=1 if multiplicative else 0, params=example)
-    natural(args.power, "--power", 1)
+        return CommandResult(result, lines, exit_code=int(multiplicative))
+    power = natural(getattr(args, "power", 1), "--power", 1)
     seed = _parse_seed(args.p, args.seed)
     tensor_by = IntegerRingMap(args.p, fusion_matrix(seed))
     one_step = p_of_map(tensor_by)
-    powered = p_of_map(tensor_by**args.power)
-    direct = p_of_tensor_by(tensor_power(seed, args.power))
-    result = {"seed": list(seed.coeffs), "power": args.power}
+    powered = p_of_map(tensor_by**power)
+    direct = p_of_tensor_by(tensor_power(seed, power))
+    result = {"seed": list(seed.coeffs), "power": power}
     lines = _matrix_lines(
         [
             ("P(T)", "p_of_t", one_step),
-            (f"P(T)^{args.power}", "p_of_t_power", powered),
-            (f"P(T^{args.power})", "p_of_t_direct", direct),
+            (f"P(T)^{power}", "p_of_t_power", powered),
+            (f"P(T^{power})", "p_of_t_direct", direct),
         ],
         result,
     )
@@ -238,17 +239,17 @@ def _cmd_markov(args) -> CommandResult:
     except HypothesisViolationError as exc:
         lines.append(f"decay_rate: unavailable ({exc})")
         result["decay_rate"] = None
-    params = {"p": args.p, "seed": args.seed, "power": args.power, "example": False}
-    return CommandResult(result, lines, exit_code=0 if multiplicative else 1, params=params)
+    return CommandResult(result, lines, exit_code=int(not multiplicative), params={"power": power})
 
 
 def _cmd_torus(args) -> CommandResult:
     if args.diagonal:
-        if args.m is None or args.m < 1:
+        if getattr(args, "m", 0) < 1:
             raise UsageError("--diagonal needs --m with m >= 1")
         count = diagonal_zero_count(args.m, args.n)
-        params = {"diagonal": True, "m": args.m, "n": args.n}
-        return CommandResult({"count": count}, [f"count = {count}"], params=params)
+        return CommandResult({"count": count}, [f"count = {count}"])
+    if "m" in args:
+        raise UsageError("--m goes only with --diagonal")
     try:
         weights = tuple(int(token) for token in args.weights.split(","))
     except ValueError:
@@ -266,8 +267,7 @@ def _cmd_torus(args) -> CommandResult:
     except InapplicableBoundError as exc:
         lines.append(f"bound: unavailable ({exc})")
         result["bound"] = None
-    params = {"diagonal": False, "weights": list(weights), "n": args.n}
-    return CommandResult(result, lines, params=params)
+    return CommandResult(result, lines, params={"weights": list(weights)})
 
 
 def _cmd_chartab(args) -> CommandResult:
@@ -282,12 +282,10 @@ def _cmd_chartab(args) -> CommandResult:
         )
     if args.action == "first-power":
         target = table.irrep_index(args.target)
-        if args.max is None:
-            args.max = table.group_order
-        d = first_power_containing(table, chi, target, args.max)
-        if d is None:
-            return CommandResult({"d": d}, [f"no power up to {args.max} contains {args.target}"])
-        return CommandResult({"d": d}, [f"d = {d}"])
+        cap = table.group_order if args.max is None else args.max
+        d = first_power_containing(table, chi, target, cap)
+        line = f"no power up to {cap} contains {args.target}" if d is None else f"d = {d}"
+        return CommandResult({"d": d}, [line], params={"max": cap})
     if args.action == "regular-check":
         ok = regular_tensor_check(table, chi)
         degree = table.degree(index)
@@ -329,21 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--canonical", action="store_true", help="merge summands into SL_m weight classes"
     )
     _output_flags(pieri, with_csv=True)
-    pieri.set_defaults(handler=_cmd_pieri)
+    pieri.set_defaults(handler=_cmd_pieri, params=("m", "n", "canonical"))
 
     ts = sub.add_parser("ts", help="trivial-summand growth series")
-    ts.set_defaults(handler=_cmd_ts)
     ts_modes = ts.add_subparsers(dest="mode", required=True)
     ts_sl = ts_modes.add_parser("sl", help="SL_m on its natural module")
     ts_sl.add_argument("--m", type=int, required=True)
     ts_sl.add_argument("--max", type=int, required=True, help="number of terms")
     _output_flags(ts_sl, with_csv=True)
+    ts_sl.set_defaults(handler=_cmd_ts, params=("mode", "m", "max"))
     ts_mod = ts_modes.add_parser("modular", help="Z/pZ in characteristic p")
     ts_mod.add_argument("--p", type=int, required=True)
     ts_mod.add_argument("--seed", required=True, help="e.g. V1 or V0+2*V2")
     ts_mod.add_argument("--step", type=int, default=1)
     ts_mod.add_argument("--max", type=int, required=True, help="number of terms")
     _output_flags(ts_mod, with_csv=True)
+    ts_mod.set_defaults(handler=_cmd_ts, params=("mode", "p", "seed", "step", "max"))
 
     fusion = sub.add_parser("fusion", help="decompose V_m (x) V_n over Z/pZ, char p")
     fusion.add_argument("--p", type=int, required=True)
@@ -355,33 +354,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check against Jordan form ranks over F_p",
     )
     _output_flags(fusion)
-    fusion.set_defaults(handler=_cmd_fusion)
+    fusion.set_defaults(handler=_cmd_fusion, params=("p", "m", "n", "oracle"))
 
     markov = sub.add_parser("markov", help="dimension-ratio transition matrices")
     markov_mode = markov.add_mutually_exclusive_group(required=True)
     markov.add_argument("--p", type=int, required=True)
-    markov_mode.add_argument("--seed", help="tensor by this fusion vector, e.g. V1")
+    markov_mode.add_argument(
+        "--seed", default=argparse.SUPPRESS, help="tensor by this fusion vector, e.g. V1"
+    )
     markov_mode.add_argument(
         "--example",
         action="store_true",
         help="show the additive map where P fails to be multiplicative",
     )
-    markov.add_argument("--power", type=int, default=1)
+    markov.add_argument("--power", type=int, default=argparse.SUPPRESS)  # default 1
     _output_flags(markov)
-    markov.set_defaults(handler=_cmd_markov)
+    markov.set_defaults(handler=_cmd_markov, params=("p", "seed", "power", "example"))
 
     torus = sub.add_parser("torus", help="zero-weight counts for torus actions")
     torus_mode = torus.add_mutually_exclusive_group(required=True)
-    torus_mode.add_argument("--weights", help="comma-separated integers, e.g. 2,-1")
+    torus_mode.add_argument(
+        "--weights", default=argparse.SUPPRESS, help="comma-separated integers, e.g. 2,-1"
+    )
     torus_mode.add_argument(
         "--diagonal",
         action="store_true",
         help="full diagonal torus of SL_m on V^(x)(m*n)",
     )
     torus.add_argument("--n", type=int, required=True, help="tensor degree multiplier")
-    torus.add_argument("--m", type=int, help="rank, for --diagonal")
+    torus.add_argument("--m", type=int, default=argparse.SUPPRESS, help="rank, for --diagonal")
     _output_flags(torus)
-    torus.set_defaults(handler=_cmd_torus)
+    torus.set_defaults(handler=_cmd_torus, params=("diagonal", "weights", "m", "n"))
 
     chartab = sub.add_parser("chartab", help="finite-group character table queries")
     chartab.add_argument("table", help="path to a character table file")
@@ -401,19 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in extra:
             action.add_argument(flag, **options)
         _output_flags(action)
+        action.set_defaults(params=("table", "action", "irrep", *(f[2:] for f, _ in extra)))
 
     return parser
 
 
-# Namespace entries that are not parameters; the rest print in the order build_parser adds them.
-_NOT_PARAMS = ("command", "handler", "json", "csv")
-
-
 def _render(result: CommandResult, args: argparse.Namespace) -> None:
     if args.json:
-        params = result.params
-        if params is None:
-            params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        values = vars(args) | result.params
+        params = {name: values[name] for name in args.params if name in values}
         print(json.dumps({"command": args.command, "params": params, "result": result.result}))
     elif getattr(args, "csv", False) and result.csv_rows is not None:
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: frozen text output, exit codes, JSON/CSV modes."""
 
+import argparse
 import json
 import os
 import re
@@ -89,6 +90,22 @@ def test_pieri_json_output(capsys):
     assert payload["result"]["mults"] == {"(4)": 1, "(3,1)": 3, "(2,2)": 2}
     # Round trip: parsing and re-dumping is stable.
     assert json.dumps(json.loads(out)) == json.dumps(payload)
+
+
+def test_undeclared_flags_stay_out_of_json(capsys, monkeypatch):
+    # The --json params are the names each parser declares, not whatever the namespace holds.
+    build = cli.build_parser
+
+    def with_stray_flag():
+        parser = build()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices["pieri"].add_argument("--stray", default="unlisted")
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", with_stray_flag)
+    code, out, _ = run(["pieri", "--m", "2", "--n", "4", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"] == {"m": 2, "n": 4, "canonical": False}
 
 
 def test_ts_sl_text_output(capsys):
@@ -321,6 +338,8 @@ def test_usage_errors_exit_2(capsys, s3_file, tmp_path):
         ["markov", "--p", "2", "--example", "--seed", "V1"],
         ["torus", "--diagonal", "--weights", "2,-1", "--m", "2", "--n", "1"],
         ["torus", "--diagonal", "--n", "2"],
+        ["torus", "--weights", "2,-1", "--n", "3", "--m", "5"],
+        ["markov", "--p", "2", "--example", "--power", "0"],
         ["ts", "modular", "--p", "3", "--seed", "0*V1", "--max", "2"],
     ]
     for argv in cases:
@@ -595,6 +614,12 @@ GOLDEN = [
         '"nth_roots": [2.23606797749979, 2.530439534435243, 2.6733068471118355], '
         '"estimate": {"lower": 2.6733068471118355, "upper": 5.0, "fekete_ok": true}}}\n',
     ),
+    (
+        ["ts", "modular", "--p", "3", "--seed", "V1", "--max", "2", "--json"],
+        '{"command": "ts", "params": {"mode": "modular", "p": 3, "seed": "V1", "step": 1, '
+        '"max": 2}, "result": {"step": 1, "dim_v": 2, "values": [0, 1], "nth_roots": '
+        '[0.0, 1.0], "estimate": {"lower": 1.0, "upper": 2.0, "fekete_ok": true}}}\n',
+    ),
     (["fusion", "--p", "3", "1", "1"], "V0 + V2\n"),
     (["fusion", "--p", "5", "3", "3", "--oracle"], "3*V4 + V0 | AGREE\n"),
     (["fusion", "--p", "7", "0", "4"], "V4\n"),
@@ -659,6 +684,15 @@ GOLDEN = [
         '"multiplicative": true, "decay_rate": null}}\n',
     ),
     (
+        ["markov", "--p", "3", "--seed", "V1", "--json"],
+        '{"command": "markov", "params": {"p": 3, "seed": "V1", "power": 1, '
+        '"example": false}, "result": {"seed": [0, 1, 0], "power": 1, '
+        '"p_of_t": [["0", "1/4", "0"], ["1", "0", "0"], ["0", "3/4", "1"]], '
+        '"p_of_t_power": [["0", "1/4", "0"], ["1", "0", "0"], ["0", "3/4", "1"]], '
+        '"p_of_t_direct": [["0", "1/4", "0"], ["1", "0", "0"], ["0", "3/4", "1"]], '
+        '"multiplicative": true, "decay_rate": "1/4"}}\n',
+    ),
+    (
         ["torus", "--weights", "2,-1", "--n", "3"],
         "count = 3\nprobability = 3/8\nbound = 0.933358864312 (t=1, v=27/4, b=3/2)\n",
     ),
@@ -707,6 +741,14 @@ GOLDEN = [
         ["chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign", "--json"],
         '{"command": "chartab", "params": {"table": "TABLE", "action": "first-power", '
         '"irrep": "std", "target": "sign", "max": 6}, "result": {"d": 2}}\n',
+    ),
+    (
+        [
+            "chartab", "TABLE", "first-power", "--irrep", "std", "--target", "sign",
+            "--max", "1", "--json",
+        ],
+        '{"command": "chartab", "params": {"table": "TABLE", "action": "first-power", '
+        '"irrep": "std", "target": "sign", "max": 1}, "result": {"d": null}}\n',
     ),
     (
         ["chartab", "TABLE", "regular-check", "--irrep", "std", "--json"],
